@@ -260,10 +260,11 @@ go build -o "$supmr_bin" ./cmd/supmr
 echo "== radix ablation digest gate =="
 # -radixsort=off must be byte-identical to the default fast path:
 # clean, faulted-with-retries, and budget-constrained (spill plus
-# external merge) runs, for both fixed-key apps the digest mode covers.
+# external merge) runs, for the fixed-key apps sort, histogram and linreg.
 for args in \
     "-app sort -size 200k -chunk 20k -bw 0 -seed 23" \
     "-app histogram -size 256k -chunk 32k -bw 0 -seed 5" \
+    "-app linreg -size 256k -chunk 32k -bw 0 -seed 5" \
     "-app sort -size 200k -chunk 20k -bw 0 -seed 23 -faults seed=1,read-err-every=7 -retries 4" \
     "-app sort -size 200k -chunk 20k -bw 0 -seed 23 -budget 32k"; do
     radix_on=$("$supmr_bin" -digest $args)
@@ -360,8 +361,9 @@ echo "failed as expected: $fault_err"
 
 echo "== supmrd server smoke test =="
 # Start the job server, submit two jobs concurrently through the
-# client, and diff their digests against direct (engine-less) runs of
-# the same specs: server-mode output must be byte-identical.
+# client plus a linreg job, and diff their digests against direct
+# (engine-less) runs of the same specs: server-mode output must be
+# byte-identical.
 smoke_dir=$(mktemp -d)
 go build -o "$smoke_dir/supmr" ./cmd/supmr
 go build -o "$smoke_dir/supmrd" ./cmd/supmrd
@@ -374,14 +376,17 @@ for _ in $(seq 1 100); do [[ -S "$sock" ]] && break; sleep 0.05; done
 
 direct_wc=$("$smoke_dir/supmr" -digest -app wordcount -size 256k -chunk 32k -bw 0 -seed 3)
 direct_sort=$("$smoke_dir/supmr" -digest -app sort -size 200k -chunk 20k -bw 0 -seed 23)
+direct_linreg=$("$smoke_dir/supmr" -digest -app linreg -size 256k -chunk 32k -bw 0 -seed 5)
 "$smoke_dir/supmr" submit -socket "$sock" -app wordcount -size 256k -chunk 32k -seed 3 \
     -tenant alice -wait > "$smoke_dir/wc.out" &
 wc_job=$!
 "$smoke_dir/supmr" submit -socket "$sock" -app sort -size 200k -chunk 20k -seed 23 \
     -tenant bob -wait > "$smoke_dir/sort.out" &
 sort_job=$!
+"$smoke_dir/supmr" submit -socket "$sock" -app linreg -size 256k -chunk 32k -seed 5 \
+    -wait > "$smoke_dir/linreg.out"
 wait "$wc_job" "$sort_job"
-for pair in "wc:$direct_wc" "sort:$direct_sort"; do
+for pair in "wc:$direct_wc" "sort:$direct_sort" "linreg:$direct_linreg"; do
     app=${pair%%:*}
     direct_digest=$(echo "${pair#*:}" | grep -o 'digest=[0-9a-f]*')
     server_digest=$(grep -o 'digest=[0-9a-f]*' "$smoke_dir/$app.out")

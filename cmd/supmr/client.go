@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"supmr/internal/cliutil"
-	"supmr/internal/jobspec"
 	"supmr/internal/server"
 )
 
@@ -57,59 +56,21 @@ func fatal(err error) {
 // submitMain submits one job, optionally waiting for its result.
 func submitMain(args []string) {
 	fs := flag.NewFlagSet("supmr submit", flag.ExitOnError)
+	jobSpec := jobFlags(fs, "4m", "256k", "0", "")
 	var (
-		socket   = fs.String("socket", "/tmp/supmrd.sock", "supmrd unix socket")
-		app      = fs.String("app", "wordcount", "application: wordcount | sort | histogram | grep | psum1 | psum2")
-		rt       = fs.String("runtime", "supmr", "runtime: traditional | supmr")
-		size     = fs.String("size", "4m", "input size in bytes (k/m/g suffixes)")
-		seed     = fs.Int64("seed", 1, "workload generation seed")
-		chunkSz  = fs.String("chunk", "256k", "SupMR ingest chunk size")
-		budget   = fs.String("budget", "0", "requested memory budget; the engine may grant less (0 = unbudgeted)")
-		bw       = fs.String("bw", "0", "simulated storage bandwidth, bytes/sec (0 = infinite)")
-		ioLanes  = fs.String("io-lanes", "1", "IO lanes for striped ingest")
-		prefetch = fs.String("prefetch-depth", "1", "prefetch ring depth")
-		pattern  = fs.String("pattern", "", "comma-separated patterns for -app grep")
-		tenant   = fs.String("tenant", "", "tenant name for the engine's per-tenant rollup")
-		weight   = fs.String("weight", "1", "fair-share weight on the engine scheduler")
-		faults   = fs.String("faults", "", "deterministic fault plan (see supmr -faults)")
-		retries  = fs.String("retries", "", "retry policy for transient faults (see supmr -retries)")
-		memoKey  = fs.String("memo-key", "", "memo cache key space (default: derived from the app and its parameters)")
-		egLanes  = fs.String("egress-lanes", "0", "IO lanes for parallel output egress (0 = keep pairs in memory only)")
-		block    = fs.String("block", "0", "records per block for -app psum1/psum2 (0 = default)")
-		blocks   = fs.String("blocks", "0", "block count for -app psum2 (0 = derived from the input)")
-		wait     = fs.Bool("wait", false, "block until the job finishes and print its result")
+		socket  = fs.String("socket", "/tmp/supmrd.sock", "supmrd unix socket")
+		tenant  = fs.String("tenant", "", "tenant name for the engine's per-tenant rollup")
+		weight  = fs.String("weight", "1", "fair-share weight on the engine scheduler")
+		memoKey = fs.String("memo-key", "", "memo cache key space (default: derived from the app and its parameters)")
+		block   = fs.String("block", "0", "records per block for -app psum1/psum2 (0 = default)")
+		blocks  = fs.String("blocks", "0", "block count for -app psum2 (0 = derived from the input)")
+		wait    = fs.Bool("wait", false, "block until the job finishes and print its result")
 	)
-	memo := onOffFlag(false)
-	fs.Var(&memo, "memo", "content-addressed incremental recompute against the server's shared memo store; a re-submission over mostly unchanged content replays cached map output")
-	radix := onOffFlag(true)
-	fs.Var(&radix, "radixsort", "radix sort/columnar merge fast path for fixed-width-key apps; off is the comparison-sort ablation")
 	fs.Parse(args)
-	spec := jobspec.Spec{
-		App:           *app,
-		Runtime:       *rt,
-		Size:          parseSize(*size),
-		Seed:          *seed,
-		ChunkBytes:    parseSize(*chunkSz),
-		Budget:        parseSize(*budget),
-		BW:            parseSize(*bw),
-		IOLanes:       parseCount(*ioLanes),
-		PrefetchDepth: parseCount(*prefetch),
-		Pattern:       *pattern,
-		Tenant:        *tenant,
-		Weight:        parseCount(*weight),
-		Faults:        *faults,
-		Retries:       *retries,
-		Memo:          bool(memo),
-		MemoKey:       *memoKey,
-		RadixOff:      !bool(radix),
-		EgressLanes:   parseCount0(*egLanes),
-		Block:         int64(parseCount0(*block)),
-		Blocks:        int64(parseCount0(*blocks)),
-	}
-	if spec.Runtime == "supmr" {
-		spec.Runtime = "" // spec default
-	}
-	if err := spec.Validate(); err != nil {
+	spec := jobSpec()
+	spec.Tenant, spec.Weight, spec.MemoKey = *tenant, must(cliutil.ParseCount(*weight, 1)), *memoKey
+	spec.Block, spec.Blocks = int64(must(cliutil.ParseCount(*block, 0))), int64(must(cliutil.ParseCount(*blocks, 0)))
+	if err := spec.ValidateEngine(); err != nil {
 		fmt.Fprintln(os.Stderr, "supmr:", err)
 		os.Exit(2)
 	}
@@ -208,8 +169,9 @@ func statsMain(args []string) {
 	}
 }
 
-// printJob renders one job line; finished jobs carry their digest so
-// server-mode output can be diffed against a direct `supmr -digest` run.
+// printJob renders one job line; finished jobs carry their result
+// report — the digest line first — so server-mode output can be diffed
+// against a direct `supmr -digest` run.
 func printJob(v server.JobView) {
 	fmt.Printf("job %d  app=%s", v.ID, v.App)
 	if v.Tenant != "" {
@@ -220,26 +182,8 @@ func printJob(v server.JobView) {
 		fmt.Printf("  error=%q", v.Error)
 	}
 	if v.Result != nil {
-		fmt.Printf("\n  pairs=%d digest=%s\n  %s", v.Result.OutputPairs, v.Result.Digest, v.Result.Times)
-		if v.Result.SpilledRuns > 0 {
-			fmt.Printf("\n  spill: %d runs, %d bytes", v.Result.SpilledRuns, v.Result.SpilledBytes)
-		}
-		if v.Result.MemoHits > 0 || v.Result.MemoMisses > 0 {
-			fmt.Printf("\n  memo: %d hits, %d misses, %s saved",
-				v.Result.MemoHits, v.Result.MemoMisses, cliutil.FormatBytes(v.Result.MemoBytesSaved))
-		}
-		if v.Result.RadixRuns > 0 {
-			fmt.Printf("\n  sortpath: %d run(s) radix-sorted", v.Result.RadixRuns)
-		}
-		if v.Result.EgressBytes > 0 {
-			fmt.Printf("\n  egress: %s in %d extent(s)",
-				cliutil.FormatBytes(v.Result.EgressBytes), v.Result.EgressExtents)
-		}
-		if v.Result.Faults != "" {
-			fmt.Printf("\n  faults: %s", v.Result.Faults)
-		}
-		for _, n := range v.Result.Notes {
-			fmt.Printf("\n  note: %s", n)
+		for _, l := range v.Result.Lines() {
+			fmt.Printf("\n  %s", l)
 		}
 	}
 	fmt.Println()

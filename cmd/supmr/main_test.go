@@ -5,14 +5,15 @@ import (
 	"context"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestMain re-execs the test binary as the supmr command when asked:
-// the error-path test below needs real exit codes and stderr, which
-// calling run() in-process cannot observe.
+// the tests below need real exit codes, stdout and stderr, which
+// calling main() in-process cannot observe.
 func TestMain(m *testing.M) {
 	if os.Getenv("SUPMR_RUN_MAIN") == "1" {
 		main()
@@ -189,5 +190,73 @@ func TestBadSubmitKnobsExitUsage(t *testing.T) {
 				t.Fatalf("stderr %q does not explain the usage error (want %q)", out, tc.want)
 			}
 		})
+	}
+}
+
+// runCLI runs the command with args and returns its stdout, stderr and
+// exit code.
+func runCLI(t *testing.T, args ...string) (string, string, int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SUPMR_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("%v hung past the watchdog", args)
+	}
+	code := 0
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return stdout.String(), stderr.String(), code
+}
+
+// TestDigestModeMatchesDirect pins the one construction path: for every
+// app, a direct run and a -digest run with the same flags — including
+// flags -digest used to ignore — print the same digest.
+func TestDigestModeMatchesDirect(t *testing.T) {
+	digestLine := regexp.MustCompile(`pairs=\d+ digest=[0-9a-f]{64}`)
+	base := []string{"-size", "64k", "-chunk", "16k", "-bw", "0", "-seed", "3", "-workers", "2",
+		"-merge", "pairwise", "-filesize", "8k", "-files-per-chunk", "2", "-pattern", "beka,ru"}
+	extra := map[string][]string{
+		"wordcount": {"-files", "3", "-flatcombiner=off"},
+		"grep":      {"-flatcombiner=off", "-memo", "-memo-budget", "1m"},
+		"invindex":  {"-files", "5"},
+		"sort":      {"-egress-lanes", "2", "-egress-extent", "8k"},
+	}
+	for _, app := range []string{"wordcount", "sort", "histogram", "grep", "invindex", "linreg", "kmeans", "psum1", "psum2"} {
+		t.Run(app, func(t *testing.T) {
+			args := append(append([]string{"-app", app}, base...), extra[app]...)
+			direct, stderr, code := runCLI(t, args...)
+			if code != 0 {
+				t.Fatalf("direct run exit %d:\n%s", code, stderr)
+			}
+			digest, stderr, code := runCLI(t, append([]string{"-digest"}, args...)...)
+			if code != 0 {
+				t.Fatalf("-digest run exit %d:\n%s", code, stderr)
+			}
+			want := digestLine.FindString(direct)
+			if want == "" || !strings.HasPrefix(digest, "app="+app+" "+want) {
+				t.Fatalf("-digest printed %q, want %q as in the direct report:\n%s", digest, want, direct)
+			}
+		})
+	}
+}
+
+// TestInNodeCombinerOffNeedsNodes: the combiner ablation without a
+// cluster is rejected the same way in direct and -digest mode.
+func TestInNodeCombinerOffNeedsNodes(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-digest"}} {
+		args := append(mode, "-app", "wordcount", "-size", "64k", "-bw", "0", "-innode-combiner=off")
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 1 || !strings.Contains(stderr, "innode_combiner_off requires nodes") {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 1 naming the missing nodes", args, code, stderr, stdout)
+		}
 	}
 }

@@ -40,11 +40,11 @@ func pipelineMain(args []string) {
 	defer stop()
 
 	base := jobspec.Spec{
-		Size:          parseSize(*size),
+		Size:          must(cliutil.ParseSize(*size)),
 		Seed:          *seed,
-		ChunkBytes:    parseSize(*chunkSz),
-		IOLanes:       parseCount(*ioLanes),
-		PrefetchDepth: parseCount(*prefetch),
+		ChunkBytes:    must(cliutil.ParseSize(*chunkSz)),
+		IOLanes:       must(cliutil.ParseCount(*ioLanes, 1)),
+		PrefetchDepth: must(cliutil.ParseCount(*prefetch, 1)),
 		Faults:        *faultsStr,
 		Retries:       *retries,
 		EgressLanes:   *egLanes,
@@ -83,12 +83,9 @@ func pipelineMain(args []string) {
 	}
 	fmt.Printf("pipeline=%s mode=%s rounds=%d\n", *kind, mode, len(res.Rounds))
 	for _, r := range res.Rounds {
-		fmt.Printf("round %-8s app=%-6s pairs=%d digest=%s\n", r.ID, r.Res.App, r.Res.OutputPairs, r.Res.Digest)
-		if r.Res.EgressBytes > 0 {
-			fmt.Printf("  egress: %s in %d extent(s)\n", cliutil.FormatBytes(r.Res.EgressBytes), r.Res.EgressExtents)
-		}
-		if r.Res.Faults != "" {
-			fmt.Printf("  faults: %s\n", r.Res.Faults)
+		fmt.Printf("round %-8s app=%s\n", r.ID, r.Res.Spec.App)
+		for _, l := range r.Res.Lines() {
+			fmt.Printf("  %s\n", l)
 		}
 	}
 }

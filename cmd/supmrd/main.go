@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"supmr"
@@ -35,16 +34,16 @@ func main() {
 		opSlots    = flag.String("op-slots", "1", "compute operations (map waves, spill drains, merges) running at once")
 		memoBudg   = flag.String("memo-budget", "64m", "shared memo-store byte budget; least-recently-used entries evict beyond it")
 	)
-	memo := memoFlag(true)
+	memo := cliutil.OnOff(true)
 	flag.Var(&memo, "memo", "host a shared memo store: memoized submissions (supmr submit -memo) replay cached map output across jobs; off disables it")
 	flag.Parse()
 
 	ec := supmr.EngineConfig{
 		Workers:      *workers,
-		IOLanes:      parseCount(*ioLanes),
-		MemoryBudget: parseSize(*budget),
-		MaxJobs:      parseCount(*maxJobs),
-		OpSlots:      parseCount(*opSlots),
+		IOLanes:      must(cliutil.ParseCount(*ioLanes, 1)),
+		MemoryBudget: must(cliutil.ParseSize(*budget)),
+		MaxJobs:      must(cliutil.ParseCount(*maxJobs, 1)),
+		OpSlots:      must(cliutil.ParseCount(*opSlots, 1)),
 	}
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "supmrd: -workers must not be negative, got %d\n", *workers)
@@ -59,14 +58,14 @@ func main() {
 	}
 	memoState := "off"
 	if memo {
-		store, err := supmr.NewMemoStore(supmr.MemoConfig{Budget: parseSize(*memoBudg)})
+		store, err := supmr.NewMemoStore(supmr.MemoConfig{Budget: must(cliutil.ParseSize(*memoBudg))})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "supmrd:", err)
 			os.Exit(2)
 		}
 		defer store.Close()
 		ec.Memo = store
-		memoState = cliutil.FormatBytes(parseSize(*memoBudg))
+		memoState = cliutil.FormatBytes(must(cliutil.ParseSize(*memoBudg)))
 	}
 
 	srv, err := server.New(server.Config{Socket: *socket, Engine: ec})
@@ -92,46 +91,9 @@ func main() {
 	}
 }
 
-// memoFlag is a boolean flag that also accepts on/off, so the ablation
-// reads naturally as -memo=off.
-type memoFlag bool
-
-func (f *memoFlag) String() string {
-	if bool(*f) {
-		return "on"
-	}
-	return "off"
-}
-
-func (f *memoFlag) Set(s string) error {
-	switch strings.ToLower(s) {
-	case "on", "true", "1", "yes":
-		*f = true
-	case "off", "false", "0", "no":
-		*f = false
-	default:
-		return fmt.Errorf("invalid value %q (want on or off)", s)
-	}
-	return nil
-}
-
-func (f *memoFlag) IsBoolFlag() bool { return true }
-
-// parseSize parses "64", "64k", "4m", "2g" into bytes; bad or negative
-// values are a usage error.
-func parseSize(s string) int64 {
-	v, err := cliutil.ParseSize(s)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "supmrd:", err)
-		os.Exit(2)
-	}
-	return v
-}
-
-// parseCount parses a positive integer; zero or negative is a usage
-// error.
-func parseCount(s string) int {
-	v, err := cliutil.ParseCount(s, 1)
+// must returns v, or exits with a usage error (status 2) when a flag
+// value did not parse or is out of range.
+func must[T any](v T, err error) T {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "supmrd:", err)
 		os.Exit(2)

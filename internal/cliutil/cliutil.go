@@ -59,6 +59,33 @@ func ParseDuration(s string) (time.Duration, error) {
 	return d, nil
 }
 
+// OnOff is a boolean flag that also accepts on/off, so an ablation
+// reads naturally as -memo=off or -flatcombiner=off.
+type OnOff bool
+
+func (f *OnOff) String() string {
+	if bool(*f) {
+		return "on"
+	}
+	return "off"
+}
+
+// Set parses on/off, true/false, 1/0 or yes/no (case-insensitive).
+func (f *OnOff) Set(s string) error {
+	switch strings.ToLower(s) {
+	case "on", "true", "1", "yes":
+		*f = true
+	case "off", "false", "0", "no":
+		*f = false
+	default:
+		return fmt.Errorf("invalid value %q (want on or off)", s)
+	}
+	return nil
+}
+
+// IsBoolFlag lets a bare -flag mean on.
+func (f *OnOff) IsBoolFlag() bool { return true }
+
 // FormatBytes renders a byte count with a decimal unit suffix, the way
 // the paper writes sizes (1 GB = 1e9).
 func FormatBytes(n int64) string {

@@ -133,3 +133,35 @@ func TestExitCode(t *testing.T) {
 		t.Errorf("wrapped ExitCoder = %d, want 3", got)
 	}
 }
+
+func TestOnOff(t *testing.T) {
+	var f OnOff
+	if f.String() != "off" {
+		t.Fatalf("zero OnOff = %q, want off", f.String())
+	}
+	for in, want := range map[string]bool{
+		"on": true, "ON": true, "true": true, "1": true, "yes": true,
+		"off": false, "Off": false, "false": false, "0": false, "no": false,
+	} {
+		f = OnOff(!want)
+		if err := f.Set(in); err != nil {
+			t.Fatalf("Set(%q): %v", in, err)
+		}
+		if bool(f) != want {
+			t.Errorf("Set(%q) = %v, want %v", in, bool(f), want)
+		}
+		if s := f.String(); (s == "on") != want {
+			t.Errorf("after Set(%q) String() = %q", in, s)
+		}
+	}
+	f = true
+	if err := f.Set("maybe"); err == nil || !strings.Contains(err.Error(), "want on or off") {
+		t.Fatalf("Set(maybe) error = %v, want a named on/off error", err)
+	}
+	if !f {
+		t.Fatal("a rejected Set must leave the value unchanged")
+	}
+	if !f.IsBoolFlag() {
+		t.Fatal("OnOff must be a bool flag so a bare -flag means on")
+	}
+}

@@ -60,15 +60,15 @@ func TestChaosChainedDAG(t *testing.T) {
 					t.Fatalf("round %s: digests differ across identical chaos runs", r1[i].ID)
 				}
 				// Identical fault counters, not merely identical output.
-				if r1[i].Res.Faults != r2[i].Res.Faults {
+				if r1[i].Res.Stats.Faults != r2[i].Res.Stats.Faults {
 					t.Fatalf("round %s: fault counters differ across identical runs:\n  %s\n  %s",
-						r1[i].ID, r1[i].Res.Faults, r2[i].Res.Faults)
+						r1[i].ID, r1[i].Res.Stats.Faults, r2[i].Res.Stats.Faults)
 				}
 				if r1[i].Res.Digest != clean.Rounds[i].Res.Digest {
 					t.Fatalf("round %s: chaos run recovered to wrong digest", r1[i].ID)
 				}
 			}
-			if r1[0].Res.Faults == "" && r1[1].Res.Faults == "" {
+			if !r1[0].Res.Stats.Faults.Any() && !r1[1].Res.Stats.Faults.Any() {
 				t.Fatalf("no round saw any faults; the chaos sweep is vacuous")
 			}
 			recovered++

@@ -70,8 +70,9 @@ type Options struct {
 }
 
 // Validate rejects malformed graphs: duplicate or empty IDs, edges to
-// unknown nodes, cycles, consumers that cannot parse piped text, and
-// per-node spec problems.
+// unknown nodes, cycles, and per-node spec problems — piped rounds are
+// checked against jobspec's piped-input rules (an app that cannot parse
+// piped text, memo).
 func (g Graph) Validate() error {
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("dag: empty graph")
@@ -87,7 +88,11 @@ func (g Graph) Validate() error {
 		byID[n.ID] = i
 	}
 	for _, n := range g.Nodes {
-		if err := n.Spec.Validate(); err != nil {
+		validate := n.Spec.Validate
+		if n.Input != "" {
+			validate = n.Spec.ValidatePiped
+		}
+		if err := validate(); err != nil {
 			return fmt.Errorf("dag: node %q: %w", n.ID, err)
 		}
 		if n.Spec.Nodes > 0 {
@@ -101,12 +106,6 @@ func (g Graph) Validate() error {
 		}
 		if _, ok := byID[n.Input]; !ok {
 			return fmt.Errorf("dag: node %q pipes from unknown node %q", n.ID, n.Input)
-		}
-		if !jobspec.CanConsumePiped(n.Spec.App) {
-			return fmt.Errorf("dag: node %q: app %q cannot consume a piped input", n.ID, n.Spec.App)
-		}
-		if n.Spec.Memo {
-			return fmt.Errorf("dag: node %q: memo is incompatible with a piped input", n.ID)
 		}
 	}
 	if _, err := g.order(); err != nil {
@@ -199,11 +198,6 @@ func Run(ctx context.Context, g Graph, opt Options) (*Result, error) {
 			if up == nil {
 				return nil, fmt.Errorf("dag: node %q: upstream %q produced no egress output", n.ID, n.Input)
 			}
-			if spec.App == "psum2" && spec.Blocks == 0 {
-				// Round 1 emitted one pair per block; its pair count is the
-				// block count round 2 needs.
-				spec.Blocks = int64(results[n.Input].OutputPairs)
-			}
 			if opt.Materialize {
 				data, err := up.Bytes()
 				if err != nil {
@@ -215,7 +209,7 @@ func Run(ctx context.Context, g Graph, opt Options) (*Result, error) {
 			}
 		}
 
-		jr, out, err := jobspec.RunInput(ctx, spec, opt.Engine, input)
+		jr, out, err := jobspec.Exec(ctx, spec, jobspec.Env{Engine: opt.Engine, Input: input, Upstream: results[n.Input]})
 		if err != nil {
 			return nil, fmt.Errorf("dag: node %q: %w", n.ID, err)
 		}

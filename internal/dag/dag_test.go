@@ -109,7 +109,7 @@ func TestPrefixSumPipeline(t *testing.T) {
 	if final.Res.OutputPairs != len(sums) {
 		t.Fatalf("output pairs = %d, want %d", final.Res.OutputPairs, len(sums))
 	}
-	if res.Rounds[0].Res.EgressBytes == 0 || res.Rounds[0].Res.EgressExtents == 0 {
+	if res.Rounds[0].Res.Stats.EgressBytes == 0 || res.Rounds[0].Res.Stats.EgressExtents == 0 {
 		t.Fatalf("source round reported no egress: %+v", res.Rounds[0].Res)
 	}
 }

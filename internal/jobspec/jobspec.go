@@ -1,9 +1,11 @@
-// Package jobspec is the serializable job description the supmrd job
-// server and the supmr CLI share: a Spec names an application, its
-// generated workload and its runtime knobs; Run executes it — against a
+// Package jobspec is the one way to describe and run a job: a Spec
+// names an application, its generated workload and its runtime knobs;
+// Exec turns it into a run through the app table (apps.go) — against a
 // shared multi-job Engine when one is supplied — and returns a Result
-// whose output digest lets callers diff a server-mode run against a
-// direct run byte-for-byte without shipping the pairs themselves.
+// whose output digest lets callers diff runs across modes byte-for-byte
+// without shipping the pairs themselves. The supmr CLI (direct and
+// -digest modes), the supmrd job server and internal/dag all run jobs
+// through it.
 package jobspec
 
 import (
@@ -11,11 +13,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"strings"
+	"time"
 
 	"supmr"
 	"supmr/internal/cliutil"
-	"supmr/internal/workload"
 )
 
 // Spec describes one job submission. The zero value of every optional
@@ -23,7 +26,8 @@ import (
 // values instead of guessing.
 type Spec struct {
 	// App selects the application: wordcount | sort | histogram | grep |
-	// psum1 | psum2 (the two rounds of the prefix-sum pipeline).
+	// invindex | linreg | kmeans | psum1 | psum2 (the two rounds of the
+	// prefix-sum pipeline).
 	App string `json:"app"`
 	// Runtime selects the runtime: "supmr" (default) | "traditional".
 	Runtime string `json:"runtime,omitempty"`
@@ -39,11 +43,34 @@ type Spec struct {
 	Budget int64 `json:"budget,omitempty"`
 	// BW is the simulated storage bandwidth in bytes/sec (0 = infinite).
 	BW int64 `json:"bw,omitempty"`
+	// Workers is a solo run's compute worker count (0 = GOMAXPROCS; an
+	// engine's shared pool wins).
+	Workers int `json:"workers,omitempty"`
+	// Merge overrides the merge algorithm: "pairwise" | "pway" (default:
+	// the runtime's own).
+	Merge string `json:"merge,omitempty"`
 	// IOLanes is the striped-ingest lane count (default 1).
 	IOLanes int `json:"io_lanes,omitempty"`
 	// PrefetchDepth is the prefetch ring depth (default 1).
 	PrefetchDepth int `json:"prefetch_depth,omitempty"`
-	// Pattern is the comma-separated grep pattern list (grep only).
+	// Files, when >= 1, generates that many small files of FileSize
+	// bytes and ingests them with intra-file chunking (multi-file apps
+	// only; invindex always reads a file set, 16 files by default).
+	Files int `json:"files,omitempty"`
+	// FilesPerChunk is how many files each intra-file chunk coalesces
+	// (default 1).
+	FilesPerChunk int `json:"files_per_chunk,omitempty"`
+	// FileSize is the per-file size for Files (default 1 MiB).
+	FileSize int64 `json:"file_size,omitempty"`
+	// Adaptive enables the adaptive chunk-size feedback loop.
+	Adaptive bool `json:"adaptive,omitempty"`
+	// Hybrid selects hybrid inter/intra-file chunking for Files inputs.
+	Hybrid bool `json:"hybrid,omitempty"`
+	// FlatCombinerOff selects the map-backed combining container over
+	// the flat one — the -flatcombiner=off ablation.
+	FlatCombinerOff bool `json:"flatcombiner_off,omitempty"`
+	// Pattern is the comma-separated grep pattern list (grep only;
+	// default "ERROR").
 	Pattern string `json:"pattern,omitempty"`
 	// Tenant names the submitting tenant for the engine rollup.
 	Tenant string `json:"tenant,omitempty"`
@@ -57,10 +84,13 @@ type Spec struct {
 	// instead of mapping it again. Supmr runtime only.
 	Memo bool `json:"memo,omitempty"`
 	// MemoKey namespaces the job's cache entries. Empty derives a key
-	// space from the app (and, for grep, its patterns) so distinct
-	// applications sharing the engine store never replay each other's
-	// output.
+	// space from the app and every parameter that shapes its map output
+	// (grep patterns, psum block sizing), so jobs sharing the engine
+	// store never replay each other's output.
 	MemoKey string `json:"memo_key,omitempty"`
+	// MemoBudget caps the private memo store of a solo memoized run
+	// (default 64 MiB); an engine's shared store keeps its own budget.
+	MemoBudget int64 `json:"memo_budget,omitempty"`
 	// RadixOff disables the fixed-width-key sort fast path (radix run
 	// sort + columnar merge) — the -radixsort=off ablation. Output is
 	// byte-identical either way.
@@ -86,134 +116,140 @@ type Spec struct {
 	// serial-writer ablation; output is byte-identical at any lane
 	// count). 0 skips output materialization.
 	EgressLanes int `json:"egress_lanes,omitempty"`
+	// EgressExtent is the egress extent size in bytes (default 256 KiB).
+	EgressExtent int64 `json:"egress_extent,omitempty"`
 	// Block is the records-per-block grouping of psum1 (default 256).
 	Block int64 `json:"block,omitempty"`
 	// Blocks is the total block count psum2 emits prefix sums for
-	// (default: derived from Size and Block as a standalone round-1
-	// reference; a DAG fills it from the upstream round).
+	// (default: the upstream round's pair count when piped, else derived
+	// from Size and Block as a standalone round-1 reference).
 	Blocks int64 `json:"blocks,omitempty"`
+	// TraceContexts, when positive, records the utilization trace of a
+	// solo run normalized to that many hardware contexts (Result.Trace).
+	TraceContexts int `json:"trace_contexts,omitempty"`
+	// TraceBucket is the trace bucket width (default 100ms).
+	TraceBucket time.Duration `json:"trace_bucket,omitempty"`
 }
 
-// Result summarizes a completed job: counters, the phase breakdown, and
-// a digest of the key-sorted output for cross-mode diffing.
+// Result summarizes a completed job: the output digest, the run's
+// statistics and the app's report lines.
 type Result struct {
-	App         string `json:"app"`
-	Runtime     string `json:"runtime"`
-	OutputPairs int    `json:"output_pairs"`
+	// Spec is the spec the job ran, defaults filled in.
+	Spec        Spec `json:"spec"`
+	OutputPairs int  `json:"output_pairs"`
 	// Digest is the hex SHA-256 over the output pairs rendered one per
 	// line as "key\tvalue\n" — identical runs produce identical digests
 	// whether executed directly, solo, or on a shared engine.
-	Digest   string `json:"digest"`
-	Times    string `json:"times"`
-	MapWaves int    `json:"map_waves"`
-	// RadixRuns counts the runs sorted by the radix fast path (0 when
-	// the app has no fixed-width key codec or the ablation disabled it).
-	RadixRuns    int    `json:"radix_runs,omitempty"`
-	SpilledRuns  int    `json:"spilled_runs,omitempty"`
-	SpilledBytes int64  `json:"spilled_bytes,omitempty"`
-	Faults       string `json:"faults,omitempty"`
-	// MemoHits/MemoMisses count ingest chunks replayed from and
-	// published to the memo cache; MemoBytesSaved is the payload bytes
-	// of hit chunks, which were hashed but never mapped.
-	MemoHits       int   `json:"memo_hits,omitempty"`
-	MemoMisses     int   `json:"memo_misses,omitempty"`
-	MemoBytesSaved int64 `json:"memo_bytes_saved,omitempty"`
-	// Nodes echoes the simulated cluster size of a multi-node run.
-	// ShuffleBytes is the framed bytes that crossed simulated links,
-	// ShuffleBytesSaved the encoded bytes the in-node combiner kept off
-	// the wire, ShuffleFrames the delivered frame count.
-	Nodes             int   `json:"nodes,omitempty"`
-	ShuffleBytes      int64 `json:"shuffle_bytes,omitempty"`
-	ShuffleBytesSaved int64 `json:"shuffle_bytes_saved,omitempty"`
-	ShuffleFrames     int   `json:"shuffle_frames,omitempty"`
-	// EgressBytes/EgressExtents report the materialized output when the
-	// spec set EgressLanes (sha256 of the egressed bytes == Digest).
-	EgressBytes   int64 `json:"egress_bytes,omitempty"`
-	EgressExtents int   `json:"egress_extents,omitempty"`
+	Digest string `json:"digest"`
+	// Times is the Table II phase row; Allocs the per-phase allocation
+	// line (empty on an engine, which cannot attribute process-wide
+	// allocation to one job).
+	Times  string `json:"times,omitempty"`
+	Allocs string `json:"allocs,omitempty"`
+	// Summary is the app's own description of its output.
+	Summary []string    `json:"summary,omitempty"`
+	Stats   supmr.Stats `json:"stats"`
 	// Notes surfaces configuration caveats the run adapted to (engine
 	// instruments disabled, memo ignoring the budget).
 	Notes []string `json:"notes,omitempty"`
+	// Trace is the utilization trace when Spec.TraceContexts was set.
+	Trace *supmr.UtilTrace `json:"-"`
 }
 
-// apps the server knows how to build workloads for.
-var knownApps = map[string]bool{
-	"wordcount": true, "sort": true, "histogram": true, "grep": true,
-	"psum1": true, "psum2": true,
+// Env is what a run needs besides its serializable Spec.
+type Env struct {
+	// Engine, when non-nil, submits the job to the shared engine
+	// (admission, fair-share scheduling, budget carving); nil runs it
+	// solo on a dedicated pool. Output is identical either way.
+	Engine *supmr.Engine
+	// Input, when non-nil, replaces the generated workload — the
+	// zero-copy pipe internal/dag chains rounds with. An upstream job's
+	// egressed output is newline-terminated "key\tvalue" text, so the
+	// app must be able to consume piped text.
+	Input supmr.Input
+	// Upstream is the result of the round Input came from; apps derive
+	// parameters from it (psum2 takes its block count).
+	Upstream *Result
+	// Literal keeps a zero Size, Seed, ChunkBytes, FileSize and Pattern
+	// literal — an empty input, seed 0, whole-input ingest, empty files
+	// and an empty pattern, the supmr CLI's flag meanings — instead of
+	// selecting the spec defaults.
+	Literal bool
 }
 
-// pipedApps consume newline-terminated "key\tvalue" text — the egress
-// rendering — so they can run over a piped upstream output in a DAG.
-// sort (100-byte CRLF records) and psum1 (16-byte self-indexed
-// records) need generated workloads and can only be source rounds.
-var pipedApps = map[string]bool{
-	"wordcount": true, "histogram": true, "grep": true, "psum2": true,
-}
+// merges names the merge algorithms Spec.Merge accepts.
+var merges = map[string]supmr.MergeAlgo{"pairwise": supmr.MergePairwise, "pway": supmr.MergePWay}
 
-// CanConsumePiped reports whether app can run over a piped upstream
-// output (internal/dag uses this to validate graph edges).
-func CanConsumePiped(app string) bool { return pipedApps[app] }
+// Validate rejects malformed specs, and specs asking an app for a knob
+// its capabilities lack, with a descriptive error. It fills in no
+// defaults — normalization happens in Exec.
+func (s Spec) Validate() error { return s.validate(use{}) }
 
-// Validate rejects malformed specs with a descriptive error and fills
-// in no defaults — normalization happens in Run.
-func (s Spec) Validate() error {
+// ValidatePiped is Validate for a round consuming a piped upstream
+// output instead of its generated workload.
+func (s Spec) ValidatePiped() error { return s.validate(use{piped: true}) }
+
+// ValidateEngine is Validate for a submission to a shared engine.
+func (s Spec) ValidateEngine() error { return s.validate(use{engine: true}) }
+
+func (s Spec) validate(u use) error {
 	if s.App == "" {
 		return fmt.Errorf("jobspec: missing app")
 	}
-	if !knownApps[s.App] {
-		return fmt.Errorf("jobspec: unknown app %q (want wordcount, sort, histogram, grep, psum1 or psum2)", s.App)
+	a, ok := table[s.App]
+	if !ok {
+		names := make([]string, 0, len(table))
+		for name := range table {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return fmt.Errorf("jobspec: unknown app %q (want %s)", s.App, strings.Join(names, ", "))
 	}
 	switch s.Runtime {
 	case "", "supmr", "traditional":
 	default:
 		return fmt.Errorf("jobspec: unknown runtime %q", s.Runtime)
 	}
-	if s.Size < 0 {
-		return fmt.Errorf("jobspec: negative size %d", s.Size)
+	if _, ok := merges[s.Merge]; s.Merge != "" && !ok {
+		return fmt.Errorf("jobspec: unknown merge algorithm %q (want pairwise or pway)", s.Merge)
 	}
-	if s.ChunkBytes < 0 {
-		return fmt.Errorf("jobspec: negative chunk size %d", s.ChunkBytes)
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"size", s.Size}, {"chunk size", s.ChunkBytes}, {"budget", s.Budget}, {"bandwidth", s.BW},
+		{"io_lanes", int64(s.IOLanes)}, {"prefetch_depth", int64(s.PrefetchDepth)},
+		{"files", int64(s.Files)}, {"files_per_chunk", int64(s.FilesPerChunk)}, {"file_size", s.FileSize},
+		{"weight", int64(s.Weight)}, {"memo_budget", s.MemoBudget}, {"node count", int64(s.Nodes)},
+		{"egress_lanes", int64(s.EgressLanes)}, {"egress_extent", s.EgressExtent},
+		{"block", s.Block}, {"blocks", s.Blocks},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("jobspec: negative %s %d", f.name, f.v)
+		}
 	}
-	if s.Budget < 0 {
-		return fmt.Errorf("jobspec: negative budget %d", s.Budget)
-	}
-	if s.BW < 0 {
-		return fmt.Errorf("jobspec: negative bandwidth %d", s.BW)
-	}
-	if s.IOLanes < 0 {
-		return fmt.Errorf("jobspec: io_lanes must be positive, got %d", s.IOLanes)
-	}
-	if s.PrefetchDepth < 0 {
-		return fmt.Errorf("jobspec: prefetch_depth must be positive, got %d", s.PrefetchDepth)
-	}
-	if s.Weight < 0 {
-		return fmt.Errorf("jobspec: negative weight %d (fair-share weight must be at least 1; omit for the default)", s.Weight)
-	}
-	if s.Memo && s.Runtime == "traditional" {
+	traditional := s.Runtime == "traditional"
+	switch {
+	case s.Budget > 0 && traditional:
+		return fmt.Errorf("jobspec: budget requires the supmr runtime (the traditional runtime ingests the whole input before mapping, so bounding the container would not bound the job)")
+	case s.Memo && traditional:
 		return fmt.Errorf("jobspec: memo requires the supmr runtime (the traditional runtime ingests the whole input as one chunk)")
-	}
-	if s.Nodes < 0 {
-		return fmt.Errorf("jobspec: negative node count %d", s.Nodes)
-	}
-	if s.Nodes > 0 {
-		if s.Runtime == "traditional" {
-			return fmt.Errorf("jobspec: nodes requires the supmr runtime (each node runs the scale-up pipeline over its local chunks)")
-		}
-		if s.Memo {
-			return fmt.Errorf("jobspec: nodes is incompatible with memo (multi-node runs shard chunks across node containers)")
-		}
-	}
-	if s.InNodeCombinerOff && s.Nodes == 0 {
-		return fmt.Errorf("jobspec: innode_combiner_off set without nodes")
-	}
-	if s.MemoKey != "" && !s.Memo {
+	case s.Memo && u.piped:
+		return fmt.Errorf("jobspec: memo is incompatible with a piped input (piped rounds hold no stable file identity to key the cache by)")
+	case s.Memo && s.Files > 0:
+		return fmt.Errorf("jobspec: memo requires a single-file input (multi-file chunk composition is not content-stable)")
+	case s.MemoKey != "" && !s.Memo:
 		return fmt.Errorf("jobspec: memo_key set without memo")
+	case s.Nodes > 0 && traditional:
+		return fmt.Errorf("jobspec: nodes requires the supmr runtime (each node runs the scale-up pipeline over its local chunks)")
+	case s.Nodes > 0 && s.Memo:
+		return fmt.Errorf("jobspec: nodes is incompatible with memo (multi-node runs shard chunks across node containers)")
+	case s.InNodeCombinerOff && s.Nodes == 0:
+		return fmt.Errorf("jobspec: innode_combiner_off requires nodes (the combiner tier only exists in multi-node runs)")
 	}
-	if s.Budget > 0 {
-		if s.Runtime == "traditional" {
-			return fmt.Errorf("jobspec: budget requires the supmr runtime")
-		}
-		if s.App == "histogram" {
-			return fmt.Errorf("jobspec: budget is incompatible with histogram: its array container has a fixed footprint and cannot spill")
+	for _, r := range rules {
+		if r.asks(s, u) && a.caps&r.need == 0 {
+			return fmt.Errorf("jobspec: app %q cannot %s: %s", s.App, r.verb, lacks[r.need])
 		}
 	}
 	if s.Faults != "" {
@@ -226,258 +262,143 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("jobspec: %w", err)
 		}
 	}
-	if s.EgressLanes < 0 {
-		return fmt.Errorf("jobspec: egress_lanes must be positive, got %d", s.EgressLanes)
-	}
-	if s.Block < 0 {
-		return fmt.Errorf("jobspec: negative block %d", s.Block)
-	}
-	if s.Blocks < 0 {
-		return fmt.Errorf("jobspec: negative blocks %d", s.Blocks)
-	}
-	if s.Block > 0 && s.App != "psum1" && s.App != "psum2" {
-		return fmt.Errorf("jobspec: block is only meaningful for psum1/psum2, not %q", s.App)
-	}
-	if s.Blocks > 0 && s.App != "psum2" {
-		return fmt.Errorf("jobspec: blocks is only meaningful for psum2, not %q", s.App)
-	}
 	return nil
 }
 
-// Run executes the spec. With eng non-nil the job is submitted to the
-// shared engine (admission, fair-share scheduling, budget carving);
-// with eng nil it runs solo on a dedicated pool — output and digest are
-// identical either way. ctx cancellation aborts the job.
+// withDefaults fills in the documented defaults of the fields left
+// zero; literal keeps the zeros whose literal meaning the CLI defines.
+func (s Spec) withDefaults(literal bool) Spec {
+	if s.Runtime == "" {
+		s.Runtime = "supmr"
+	}
+	if !literal {
+		if s.Size == 0 {
+			s.Size = 4 << 20
+		}
+		if s.Seed == 0 {
+			s.Seed = 1
+		}
+		if s.ChunkBytes == 0 {
+			s.ChunkBytes = 256 << 10
+		}
+		if s.FileSize == 0 {
+			s.FileSize = 1 << 20
+		}
+		if s.Pattern == "" {
+			s.Pattern = "ERROR"
+		}
+	}
+	return s
+}
+
+// Run executes the spec, with its defaults applied, over the app's
+// generated workload. With eng non-nil the job is submitted to the
+// shared engine; with eng nil it runs solo on a dedicated pool — output
+// and digest are identical either way. ctx cancellation aborts the job.
 func Run(ctx context.Context, spec Spec, eng *supmr.Engine) (*Result, error) {
-	res, _, err := RunInput(ctx, spec, eng, nil)
+	res, _, err := Exec(ctx, spec, Env{Engine: eng})
 	return res, err
 }
 
-// RunInput is Run over an explicit ingest source: with input non-nil
-// the spec's generated workload is replaced by input — the zero-copy
-// pipe internal/dag chains rounds with (an upstream job's egressed
-// output is newline-terminated "key\tvalue" text, so the piped app
-// must be one CanConsumePiped accepts). The returned EgressOutput is
-// the materialized output when spec.EgressLanes was set, nil
-// otherwise; callers chaining jobs feed it to the next round.
-func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Input) (*Result, *supmr.EgressOutput, error) {
-	if err := spec.Validate(); err != nil {
+// Exec validates spec for env, builds the app's device, workload, job
+// and container from the app table and runs it. The returned
+// EgressOutput is the materialized output when spec.EgressLanes was
+// set, nil otherwise; callers chaining jobs feed it to the next round.
+func Exec(ctx context.Context, spec Spec, env Env) (*Result, *supmr.EgressOutput, error) {
+	u := use{piped: env.Input != nil, engine: env.Engine != nil}
+	if err := spec.validate(u); err != nil {
 		return nil, nil, err
 	}
-	if input != nil {
-		if !CanConsumePiped(spec.App) {
-			return nil, nil, fmt.Errorf("jobspec: app %q cannot consume a piped input (it maps a generated record format; pipe into wordcount, histogram, grep or psum2)", spec.App)
-		}
-		if spec.Memo {
-			return nil, nil, fmt.Errorf("jobspec: memo is incompatible with a piped input (piped rounds hold no stable file identity to key the cache by)")
-		}
+	a := table[spec.App]
+	spec = spec.withDefaults(env.Literal)
+	if a.defaults != nil {
+		a.defaults(&spec, env)
 	}
-	size := spec.Size
-	if size <= 0 {
-		size = 4 << 20
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	chunk := spec.ChunkBytes
-	if chunk <= 0 {
-		chunk = 256 << 10
-	}
-	block := spec.Block
-	if block <= 0 {
-		block = 256
-	}
-	rt := supmr.RuntimeSupMR
-	rtName := "supmr"
-	if spec.Runtime == "traditional" {
-		rt = supmr.RuntimeTraditional
-		rtName = "traditional"
+	if a.caps&blocksParam != 0 && spec.Blocks <= 0 {
+		return nil, nil, fmt.Errorf("jobspec: %s needs blocks (the upstream round's block count)", spec.App)
 	}
 
 	clock := supmr.NewClock()
-	var dev supmr.Device
+	dev := supmr.NewFastDevice(clock)
 	if spec.BW > 0 {
 		d, err := supmr.NewDisk("sim", float64(spec.BW), 0, clock)
 		if err != nil {
 			return nil, nil, err
 		}
 		dev = d
-	} else {
-		dev = supmr.NewFastDevice(clock)
 	}
-
 	cfg := supmr.Config{
-		Context:       ctx,
-		Runtime:       rt,
-		ChunkBytes:    chunk,
-		Clock:         clock,
-		IOLanes:       spec.IOLanes,
-		PrefetchDepth: spec.PrefetchDepth,
-		Engine:        eng,
-		Tenant:        spec.Tenant,
-		Weight:        spec.Weight,
+		Context:        ctx,
+		Runtime:        supmr.RuntimeSupMR,
+		Workers:        spec.Workers,
+		ChunkBytes:     spec.ChunkBytes,
+		FilesPerChunk:  spec.FilesPerChunk,
+		Clock:          clock,
+		AdaptiveChunks: spec.Adaptive,
+		HybridChunks:   spec.Hybrid,
+		IOLanes:        spec.IOLanes,
+		PrefetchDepth:  spec.PrefetchDepth,
+		Engine:         env.Engine,
+		Tenant:         spec.Tenant,
+		Weight:         spec.Weight,
+		Nodes:          spec.Nodes,
+		TraceContexts:  spec.TraceContexts,
+		TraceBucket:    spec.TraceBucket,
 	}
-	if spec.EgressLanes > 0 {
-		cfg.EgressLanes = spec.EgressLanes
-		cfg.EgressDevice = dev // egress contends with ingest for the same bandwidth
+	off := false
+	if spec.Runtime == "traditional" {
+		cfg.Runtime = supmr.RuntimeTraditional
+	}
+	if m, ok := merges[spec.Merge]; ok {
+		cfg.Merge = &m
 	}
 	if spec.RadixOff {
-		off := false
 		cfg.RadixSort = &off
 	}
-	if spec.Nodes > 0 {
-		cfg.Nodes = spec.Nodes
-		if spec.InNodeCombinerOff {
-			off := false
-			cfg.InNodeCombiner = &off
-		}
-	}
-	if spec.Faults != "" {
-		plan, err := cliutil.ParseFaultPlan(spec.Faults)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Faults = supmr.NewFaultInjector(plan, clock)
-	}
-	if spec.Retries != "" {
-		policy, err := cliutil.ParseRetryPolicy(spec.Retries)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Retry = policy
+	if spec.InNodeCombinerOff {
+		cfg.InNodeCombiner = &off
 	}
 	if spec.Budget > 0 {
 		cfg.MemoryBudget = spec.Budget
 		cfg.SpillDevice = dev // spill contends with ingest for the same bandwidth
 	}
+	if spec.EgressLanes > 0 {
+		cfg.EgressLanes = spec.EgressLanes
+		cfg.EgressExtentBytes = spec.EgressExtent
+		cfg.EgressDevice = dev // egress contends with ingest for the same bandwidth
+	}
 	if spec.Memo {
 		cfg.Memo = true
+		cfg.MemoBudget = spec.MemoBudget
 		cfg.MemoKeySpace = spec.MemoKey
 		if cfg.MemoKeySpace == "" {
-			// Derive a key space covering everything that shapes a chunk's
-			// map output besides its content: the app and, for grep, its
-			// pattern list.
 			cfg.MemoKeySpace = spec.App
-			if spec.App == "grep" {
-				p := spec.Pattern
-				if p == "" {
-					p = "ERROR"
-				}
-				cfg.MemoKeySpace = "grep:" + p
+			if a.keySpace != nil {
+				cfg.MemoKeySpace = a.keySpace(spec)
 			}
 		}
 	}
-
-	switch spec.App {
-	case "wordcount":
-		f := input
-		if f == nil {
-			tf, err := supmr.TextFile("wcinput", size, seed, dev)
-			if err != nil {
-				return nil, nil, err
-			}
-			f = tf
-		}
-		return execJob(supmr.WordCountJob(), f, supmr.WordCountContainer(64), cfg, spec.App, rtName)
-	case "sort":
-		cfg.Boundary = supmr.CRLFRecords
-		f, err := supmr.TeraFile("sortinput", size/100, uint64(seed), dev)
-		if err != nil {
-			return nil, nil, err
-		}
-		return execJob(supmr.SortJob(), f, supmr.SortContainer(), cfg, spec.App, rtName)
-	case "histogram":
-		f := input
-		if f == nil {
-			tf, err := supmr.TextFile("histinput", size, seed, dev)
-			if err != nil {
-				return nil, nil, err
-			}
-			f = tf
-		}
-		job := supmr.HistogramJob()
-		return execJob(job, f, job.NewContainer(8), cfg, spec.App, rtName)
-	case "grep":
-		pattern := spec.Pattern
-		if pattern == "" {
-			pattern = "ERROR"
-		}
-		job := supmr.GrepJob(strings.Split(pattern, ",")...)
-		f := input
-		if f == nil {
-			tf, err := supmr.TextFile("grepinput", size, seed, dev)
-			if err != nil {
-				return nil, nil, err
-			}
-			f = tf
-		}
-		return execJob(job, f, job.NewContainer(), cfg, spec.App, rtName)
-	case "psum1":
-		records := size / workload.SeqRecordWidth
-		f, err := supmr.SeqFile("psuminput", records, seed, dev)
-		if err != nil {
-			return nil, nil, err
-		}
-		job := supmr.PrefixPartJob(block)
-		return execJob(job, f, job.NewContainer(64), cfg, spec.App, rtName)
-	case "psum2":
-		f := input
-		blocks := spec.Blocks
-		if f == nil {
-			// Standalone: synthesize round 1's reference output from the
-			// generator's expected block sums.
-			records := size / workload.SeqRecordWidth
-			sums := workload.SeqGen{Seed: seed}.BlockSums(records, block)
-			var buf strings.Builder
-			for b, s := range sums {
-				fmt.Fprintf(&buf, "%d\t%d\n", b, s)
-			}
-			f = supmr.MemoryFile("psum2input", []byte(buf.String()), clock)
-			if blocks <= 0 {
-				blocks = int64(len(sums))
-			}
-		}
-		if blocks <= 0 {
-			return nil, nil, fmt.Errorf("jobspec: psum2 over a piped input needs blocks (the upstream round's block count)")
-		}
-		job := supmr.PrefixTotalJob(blocks)
-		return execJob(job, f, job.NewContainer(64), cfg, spec.App, rtName)
+	if spec.Faults != "" {
+		plan, _ := cliutil.ParseFaultPlan(spec.Faults) // validated above
+		cfg.Faults = supmr.NewFaultInjector(plan, clock)
 	}
-	return nil, nil, fmt.Errorf("jobspec: unknown app %q", spec.App)
-}
+	if spec.Retries != "" {
+		cfg.Retry, _ = cliutil.ParseRetryPolicy(spec.Retries) // validated above
+	}
 
-// execJob runs one typed job and flattens its report into a Result.
-func execJob[K comparable, V any](job supmr.Job[K, V], f supmr.Input, cont supmr.Container[K, V], cfg supmr.Config, app, rtName string) (*Result, *supmr.EgressOutput, error) {
-	rep, err := supmr.RunFile(job, f, cont, cfg)
+	src := source{file: env.Input}
+	if src.file == nil {
+		var err error
+		if src, err = a.input(spec, dev, clock); err != nil {
+			return nil, nil, err
+		}
+	}
+	res, out, err := a.run(spec, src, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &Result{
-		App:               app,
-		Runtime:           rtName,
-		OutputPairs:       len(rep.Pairs),
-		Digest:            Digest(rep.Pairs),
-		Times:             rep.Times.String(),
-		MapWaves:          rep.Stats.MapWaves,
-		RadixRuns:         rep.Stats.RadixRuns,
-		SpilledRuns:       rep.Stats.SpilledRuns,
-		SpilledBytes:      rep.Stats.SpilledBytes,
-		MemoHits:          rep.Stats.MemoHits,
-		MemoMisses:        rep.Stats.MemoMisses,
-		MemoBytesSaved:    rep.Stats.MemoBytesSaved,
-		Nodes:             cfg.Nodes,
-		ShuffleBytes:      rep.Stats.ShuffleBytes,
-		ShuffleBytesSaved: rep.Stats.ShuffleBytesSaved,
-		ShuffleFrames:     rep.Stats.ShuffleFrames,
-		EgressBytes:       rep.Stats.EgressBytes,
-		EgressExtents:     rep.Stats.EgressExtents,
-		Notes:             rep.Notes,
-	}
-	if rep.Stats.Faults.Any() {
-		res.Faults = rep.Stats.Faults.String()
-	}
-	return res, rep.Egress, nil
+	res.Spec = spec
+	return res, out, nil
 }
 
 // Digest hashes key-sorted output pairs: hex SHA-256 over one

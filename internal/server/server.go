@@ -305,7 +305,7 @@ func (s *Server) submit(req Request) Response {
 		return Response{Error: "submit: missing spec"}
 	}
 	spec := *req.Spec
-	if err := spec.Validate(); err != nil {
+	if err := spec.ValidateEngine(); err != nil {
 		return Response{Error: err.Error()}
 	}
 	if spec.Nodes > 0 {
