@@ -50,7 +50,9 @@ echo "== race-mode multi-lane chaos gate =="
 # The same chaos and differential invariants with the striped ingest
 # path switched on: 4 IO lanes and a depth-3 prefetch ring must not
 # change a single output byte or fault counter — striping may only
-# change when bytes arrive, never which bytes.
+# change when bytes arrive, never which bytes. Multi-node runs read
+# through the same prefetch ring, so TestChaosShuffle and
+# TestDifferentialMultiNode drive the lanes here too.
 SUPMR_IO_LANES=4 SUPMR_PREFETCH_DEPTH=3 \
     go test -race -count=1 -run 'TestChaos|TestDifferential' .
 
@@ -238,6 +240,12 @@ echo "== race-mode multi-lane pipeline run =="
 go run -race ./cmd/supmr -app wordcount -runtime supmr \
     -size 2m -chunk 128k -bw 64m -workers 4 -io-lanes 4 -prefetch-depth 3
 
+echo "== race-mode multi-node multi-lane pipeline run =="
+# A 2-node cluster ingesting through 4 IO lanes and a depth-3 ring: the
+# ring, lane fetcher and per-chunk node drains on the race detector.
+go run -race ./cmd/supmr -app wordcount -runtime supmr \
+    -size 2m -chunk 128k -bw 64m -workers 4 -nodes 2 -io-lanes 4 -prefetch-depth 3
+
 echo "== race-mode budget-constrained pipeline run =="
 go run -race ./cmd/supmr -app wordcount -runtime supmr \
     -size 2m -chunk 128k -bw 0 -workers 4 -budget 64k
@@ -285,7 +293,8 @@ echo "== multi-node ablation digest gate =="
 for args in \
     "-app wordcount -size 256k -chunk 32k -bw 0 -seed 3" \
     "-app sort -size 200k -chunk 20k -bw 0 -seed 23" \
-    "-app wordcount -size 256k -chunk 32k -bw 0 -seed 3 -faults seed=1,write-err-every=3 -retries 4"; do
+    "-app wordcount -size 256k -chunk 32k -bw 0 -seed 3 -faults seed=1,write-err-every=3 -retries 4" \
+    "-app wordcount -size 256k -chunk 32k -bw 64m -seed 3 -io-lanes 4 -prefetch-depth 3"; do
     single=$("$supmr_bin" -digest $args)
     for nodes in 1 2 4; do
         for comb in "" "-innode-combiner=off"; do

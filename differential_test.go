@@ -20,6 +20,7 @@ import (
 	"strings"
 	"testing"
 
+	"supmr/internal/storage"
 	"supmr/internal/workload"
 )
 
@@ -231,6 +232,53 @@ func TestDifferentialMultiNode(t *testing.T) {
 		diffMultiNode[string, uint64](t, job,
 			func() Container[string, uint64] { return SortContainer() }, tera, sortCfg, true)
 	})
+}
+
+// TestMultiNodeRidesPrefetchRing: a multi-node run reads its chunks
+// through the same prefetch ring and multi-lane fetcher as a scale-up
+// run, so IOLanes and PrefetchDepth take effect on a cluster — reads
+// fan out across the lanes and buffered chunks count as prefetch hits —
+// while the output stays byte-identical to the single-node run.
+func TestMultiNodeRidesPrefetchRing(t *testing.T) {
+	run := func(nodes int) *Report[string, int64] {
+		t.Helper()
+		clk := storage.NewFakeClock()
+		dev, err := NewDisk("disk", 64<<20, 0, clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := TextFile("in", 1<<20, 37, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := RunFile[string, int64](WordCountJob(), f, WordCountContainer(16), Config{
+			Runtime: RuntimeSupMR, Workers: 4, ChunkBytes: 64 << 10, Clock: clk,
+			Nodes: nodes, IOLanes: 4, PrefetchDepth: 3,
+		})
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", nodes, err)
+		}
+		return rep
+	}
+	single, multi := run(0), run(2)
+	if renderPairs(multi.Pairs) != renderPairs(single.Pairs) {
+		t.Fatalf("2-node output differs from single-node: %d pairs vs %d", len(multi.Pairs), len(single.Pairs))
+	}
+	if multi.Stats.ShuffleFrames == 0 {
+		t.Fatal("no frames crossed the wire; the run never reached the exchange")
+	}
+	busy := 0
+	for _, n := range multi.Stats.IngestLaneBytes {
+		if n > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Fatalf("ingest lane bytes %v: a 4-lane multi-node run read through %d lane(s)", multi.Stats.IngestLaneBytes, busy)
+	}
+	if multi.Stats.PrefetchHits == 0 {
+		t.Fatal("a depth-3 prefetch ring on a multi-node run recorded no prefetch hits")
+	}
 }
 
 // TestMultiNodeBudgetIgnored: a budgeted multi-node run stays

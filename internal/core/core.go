@@ -46,6 +46,7 @@ import (
 	"supmr/internal/mapreduce"
 	"supmr/internal/memo"
 	"supmr/internal/metrics"
+	"supmr/internal/shuffle"
 	"supmr/internal/sortalgo"
 	"supmr/internal/spill"
 )
@@ -125,6 +126,14 @@ type Options struct {
 	// MemoSpace namespaces memo cache keys (application identity plus
 	// any parameters that change its output for the same input bytes).
 	MemoSpace string
+	// Shuffle, when set, runs the job on a simulated cluster of
+	// Shuffle.Nodes worker nodes: chunk i maps into node i mod Nodes's
+	// container (node 0 uses the caller's, the rest Fresh clones), each
+	// node's container is drained after every map wave, and
+	// shuffle.Exchange combines, partitions, sends and merges the drained
+	// runs. Ingest is the same prefetch ring as a scale-up run. Like memo
+	// mode, it ignores MemoryBudget; it cannot be combined with MemoStore.
+	Shuffle *shuffle.Options
 }
 
 // Result aliases the runtime result type.
@@ -171,7 +180,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	if !ro.RadixDisabled {
 		fixed = kv.FixedKeyOf[K, V](app)
 	}
-	drainRadixRuns := 0 // radix-sorted spill/memo drains, folded into Stats.RadixRuns
+	drainRadixRuns := 0 // radix-sorted spill/memo/shuffle drains, folded into Stats.RadixRuns
 
 	// The memo cache: the typed layer over the shared store, resolved up
 	// front so jobs whose key/value types cannot serialize refuse to
@@ -185,12 +194,44 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 	}
 
-	// The memory budget: a spiller when configured, nil otherwise. Memo
-	// mode never spills — per-chunk drains keep the container's
+	// Per-chunk drain modes: memo and multi-node runs drain the
+	// container that mapped a chunk right after its map wave, into that
+	// node's run list (memo has one node). conts[n] is node n's container.
+	conts := []container.Container[K, V]{cont}
+	var drainLabel string // "" = the container persists to the reduce phase
+	var drainPhase metrics.Phase
+	switch {
+	case cache != nil && opts.Shuffle != nil:
+		return nil, fmt.Errorf("core: memoization cannot run on a multi-node cluster")
+	case cache != nil:
+		drainLabel, drainPhase = "memo", metrics.PhaseMemo
+	case opts.Shuffle != nil:
+		nodes := opts.Shuffle.Nodes
+		if nodes < 1 {
+			return nil, fmt.Errorf("core: node count must be >= 1, got %d", nodes)
+		}
+		// Refuse uncodable key/value types before reading any input.
+		if _, err := spill.NewRecords[K, V](); err != nil {
+			return nil, fmt.Errorf("core: multi-node run: %w", err)
+		}
+		if nodes > 1 {
+			fr, ok := any(cont).(container.Fresher[K, V])
+			if !ok {
+				return nil, fmt.Errorf("core: container %T cannot be replicated across nodes (no Fresh method)", cont)
+			}
+			for len(conts) < nodes {
+				conts = append(conts, fr.Fresh())
+			}
+		}
+		drainLabel, drainPhase = "shuffle", metrics.PhaseShuffle
+	}
+
+	// The memory budget: a spiller when configured, nil otherwise.
+	// Per-chunk drain modes never spill — the drains keep container
 	// residency bounded by one chunk's combined output regardless of any
 	// budget (the facade surfaces this as a report note).
 	var spiller *spill.Spiller[K, V]
-	if opts.MemoryBudget > 0 && cache == nil {
+	if opts.MemoryBudget > 0 && drainLabel == "" {
 		if _, ok := any(cont).(container.Unspillable); ok {
 			return nil, fmt.Errorf("core: container %T cannot spill (its footprint is fixed by construction); run without a memory budget", cont)
 		}
@@ -333,15 +374,15 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	}()
 
 	var stats mapreduce.Stats
-	runMappers := func(c *chunk.Chunk) (time.Duration, error) {
+	runMappers := func(c *chunk.Chunk, into container.Container[K, V]) (time.Duration, error) {
 		start := pool.Now()
 		if opts.ResetEachRound {
-			cont.Reset()
+			into.Reset()
 		}
 		if ca, ok := any(app).(ChunkAware); ok {
 			ca.SetData(c)
 		}
-		n, busy, err := mapreduce.MapWaveTimed(app, c.Data, cont, ro)
+		n, busy, err := mapreduce.MapWaveTimed(app, c.Data, into, ro)
 		if err != nil {
 			return 0, err
 		}
@@ -382,15 +423,16 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	if first.err != nil && !errors.Is(first.err, io.EOF) {
 		return fail(first.err)
 	}
-	// memoRuns collects one key-sorted run per chunk, in chunk order:
-	// decoded cache payloads for hits, freshly drained combiner output
-	// for misses. The memo merge streams them all in one pass.
-	var memoRuns [][]kv.Pair[K, V]
+	// nodeRuns[n] collects node n's key-sorted per-chunk runs in chunk
+	// order — decoded cache payloads for memo hits, freshly drained
+	// combiner output otherwise — for the memo merge or the exchange.
+	nodeRuns := make([][][]kv.Pair[K, V], len(conts))
 	cur := first.c
-	for cur != nil {
+	for i := 0; cur != nil; i++ {
 		if err := pool.Err(); err != nil {
 			return fail(err)
 		}
+		node := i % len(conts)
 		// Budget check between ingest rounds: drain an over-budget
 		// container now — before this round's mappers refill it. The run
 		// write lands on an IO lane and executes while the map round
@@ -420,9 +462,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		// write caught by the digest) is swallowed into a miss — the
 		// store counts it — and only a pool-level error fails the job.
 		var (
-			hit      bool
-			hitPairs []kv.Pair[K, V]
-			memoKey  memo.Key
+			hit     bool
+			run     []kv.Pair[K, V]
+			memoKey memo.Key
 		)
 		if cache != nil {
 			sum := cur.Sum
@@ -433,7 +475,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			timer.EndPhase(metrics.PhaseReadMap)
 			timer.StartPhase(metrics.PhaseMemo)
 			h := pool.GoIO("memo", metrics.StateIOWait, func() error {
-				hitPairs, hit, _ = cache.Get(memoKey)
+				run, hit, _ = cache.Get(memoKey)
 				return nil
 			})
 			err := h.Wait()
@@ -453,46 +495,46 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if hit {
 			// The chunk's bytes were read and hashed but are never
 			// mapped: the cached run replays straight into the merge.
-			if len(hitPairs) > 0 {
-				memoRuns = append(memoRuns, hitPairs)
-			}
 			stats.MemoHits++
 			stats.MemoBytesSaved += cur.Size()
 			stats.BytesIngested += cur.Size()
 			cur.Release()
 		} else {
 			var mapErr error
-			mapDur, mapErr = runMappers(cur)
+			mapDur, mapErr = runMappers(cur, conts[node])
 			cur.Release() // the wave is done with the bytes; recycle the buffer
 			if mapErr != nil {
 				return fail(mapErr)
 			}
-			if cache != nil {
-				// Drain this chunk's combined output and publish it,
-				// synchronously on the IO lane: lookup(i), publish(i),
-				// lookup(i+1) is a deterministic op order, and a failed
-				// publish only skips the cache entry, never the job.
+			if drainLabel != "" {
+				// Drain this chunk's combined output into a sorted run. A
+				// memo miss also publishes it, synchronously on the IO
+				// lane: lookup(i), publish(i), lookup(i+1) is a
+				// deterministic op order, and a failed publish only skips
+				// the cache entry, never the job.
 				timer.EndPhase(metrics.PhaseReadMap)
-				timer.StartPhase(metrics.PhaseMemo)
-				pairs, nRad, err := spill.DrainContainer(cont, app.Less, app.Reduce, fixed, pool, "memo")
+				timer.StartPhase(drainPhase)
+				pairs, nRad, err := spill.DrainContainer(conts[node], app.Less, app.Reduce, fixed, pool, drainLabel)
 				drainRadixRuns += nRad
-				if err == nil {
+				if err == nil && cache != nil {
 					h := pool.GoIO("memo", metrics.StateIOWait, func() error {
 						cache.Put(memoKey, pairs)
 						return nil
 					})
 					err = h.Wait()
+					stats.MemoMisses++
 				}
-				timer.EndPhase(metrics.PhaseMemo)
+				timer.EndPhase(drainPhase)
 				timer.StartPhase(metrics.PhaseReadMap)
 				if err != nil {
 					return fail(err)
 				}
-				if len(pairs) > 0 {
-					memoRuns = append(memoRuns, pairs)
-				}
-				stats.MemoMisses++
+				run = pairs
 			}
+		}
+		if len(run) > 0 {
+			nodeRuns[node] = append(nodeRuns[node], run)
+			stats.IntermediateN += len(run)
 		}
 		// Join the next chunk, counting how the ring performed: a chunk
 		// already buffered is a prefetch hit; otherwise the map workers
@@ -526,31 +568,46 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		cur = r.c
 	}
 	timer.EndPhase(metrics.PhaseReadMap)
-	stats.IntermediateN = cont.Len()
 	if lanes > 1 {
 		stats.IngestLaneBytes = pool.LaneBytes()
 	}
+	finish := func(merged []kv.Pair[K, V]) (*Result[K, V], error) {
+		stats.OutputPairs = len(merged)
+		stats.Tasks = pool.TaskStats()
+		return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
+	}
 
-	// Memo mode: the container drained into per-chunk runs as the
-	// pipeline ran, so there is nothing left to reduce. One streaming
-	// pass merges the chunk runs in chunk order, re-reducing keys that
-	// appear in several chunks — the same associativity contract the
-	// budgeted external merge relies on, so memo output is
-	// byte-identical to the unmemoized pipeline's.
-	if cache != nil {
+	// Per-chunk drain modes: the containers are empty, so there is
+	// nothing left to reduce; the drained runs go to the memo merge or
+	// across the cluster.
+	switch {
+	case cache != nil:
+		// One streaming pass merges the chunk runs in chunk order,
+		// re-reducing keys that appear in several chunks — the same
+		// associativity contract the budgeted external merge relies on,
+		// so memo output is byte-identical to the unmemoized pipeline's.
+		// Memoization adds merge sources, not merge rounds.
+		runs := nodeRuns[0]
 		timer.StartPhase(metrics.PhaseMerge)
-		merged, rounds, err := mergeChunkRuns(app, memoRuns, pool)
+		merged, err := sortalgo.MergeRuns(pool, "merge", nil, runs, app.Less, app.Reduce, false)
 		timer.EndPhase(metrics.PhaseMerge)
 		if err != nil {
 			pool.Abort(err)
 			return nil, err
 		}
-		stats.Runs = len(memoRuns)
-		stats.MergeRounds = rounds
-		stats.OutputPairs = len(merged)
-		stats.Tasks = pool.TaskStats()
-		return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
+		stats.Runs = len(runs)
+		stats.MergeRounds = 1
+		return finish(merged)
+	case opts.Shuffle != nil:
+		merged, err := shuffle.Exchange(app, nodeRuns, pool, timer, &stats, *opts.Shuffle)
+		if err != nil {
+			pool.Abort(err)
+			return nil, err
+		}
+		stats.RadixRuns = drainRadixRuns
+		return finish(merged)
 	}
+	stats.IntermediateN = cont.Len()
 
 	// Join the last spill write before reducing: the merge below must
 	// see every run complete. The residue still in the container is
@@ -593,10 +650,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	}
 	stats.MergeRounds = rounds
 	stats.RadixRuns = radixRuns + drainRadixRuns
-	stats.OutputPairs = len(merged)
-	stats.Tasks = pool.TaskStats()
-
-	return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
+	return finish(merged)
 }
 
 // externalMerge is the budgeted merge: the in-memory residue runs sort
@@ -614,45 +668,15 @@ func externalMerge[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V]
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	srcs := spiller.Sources()
-	for _, r := range runs {
-		srcs = append(srcs, sortalgo.NewSliceSource(r))
-	}
 	// One streaming pass over all sources; run it as a pool task so the
 	// device waits of run reads are attributed to the job's workers.
-	var merged []kv.Pair[K, V]
 	timer.StartPhase(metrics.PhaseMerge)
-	_, err = pool.ForEach("merge", metrics.StateUser, 1, func(int) error {
-		var mErr error
-		merged, mErr = sortalgo.MergeSources(srcs, app.Less, app.Reduce, nil)
-		return mErr
-	})
+	merged, err := sortalgo.MergeRuns(pool, "merge", spiller.Sources(), runs, app.Less, app.Reduce, false)
 	timer.EndPhase(metrics.PhaseMerge)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	return merged, 1, radixRuns, nil
-}
-
-// mergeChunkRuns is the memo-mode merge: one streaming loser-tree pass
-// over the per-chunk runs (cache hits and fresh drains alike, in chunk
-// order), re-reducing keys whose values were split across chunks. Like
-// the external merge, memoization adds merge sources, not merge rounds.
-func mergeChunkRuns[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], pool exec.Executor) ([]kv.Pair[K, V], int, error) {
-	var merged []kv.Pair[K, V]
-	_, err := pool.ForEach("merge", metrics.StateUser, 1, func(int) error {
-		srcs := make([]sortalgo.Source[K, V], len(runs))
-		for i, r := range runs {
-			srcs[i] = sortalgo.NewSliceSource(r)
-		}
-		var mErr error
-		merged, mErr = sortalgo.MergeSources(srcs, app.Less, app.Reduce, nil)
-		return mErr
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return merged, 1, nil
 }
 
 // DefaultMerge is the merge algorithm SupMR ships with: the single-round

@@ -111,7 +111,7 @@ type Stats struct {
 	BytesIngested int64
 	MapWaves      int
 	Splits        int
-	IntermediateN int // container entries after map
+	IntermediateN int // container entries after map; per-chunk run pairs in memo and multi-node runs
 	Runs          int // sorted runs entering merge
 	MergeRounds   int // pairwise rounds the merge algorithm performed
 	RadixRuns     int // runs sorted by the radix fast path (0 = all comparison)

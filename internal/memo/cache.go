@@ -11,15 +11,14 @@ import (
 
 // Cache is the typed view over a Store for one job type: it derives
 // entry keys from chunk content hashes under a key space, and
-// serializes per-chunk map/combine output with the spill run codecs
-// (uvarint-framed key/value records, identical to spill run files).
-// Jobs whose key or value types have no codec cannot memoize; NewCache
-// refuses up front.
+// serializes per-chunk map/combine output in the spill record framing
+// (identical to spill run files). Jobs whose key or value types have no
+// codec cannot memoize; NewCache refuses up front. A Cache serves one
+// goroutine at a time.
 type Cache[K comparable, V any] struct {
 	store *Store
 	space []byte
-	kc    spill.Codec[K]
-	vc    spill.Codec[V]
+	rec   *spill.Records[K, V]
 }
 
 // NewCache builds the typed layer. space namespaces keys so different
@@ -30,15 +29,11 @@ func NewCache[K comparable, V any](store *Store, space string) (*Cache[K, V], er
 	if store == nil {
 		return nil, fmt.Errorf("memo: cache requires a store")
 	}
-	kc, err := spill.CodecFor[K]()
+	rec, err := spill.NewRecords[K, V]()
 	if err != nil {
-		return nil, fmt.Errorf("memo: key %w", err)
+		return nil, fmt.Errorf("memo: %w", err)
 	}
-	vc, err := spill.CodecFor[V]()
-	if err != nil {
-		return nil, fmt.Errorf("memo: value %w", err)
-	}
-	return &Cache[K, V]{store: store, space: []byte(space), kc: kc, vc: vc}, nil
+	return &Cache[K, V]{store: store, space: []byte(space), rec: rec}, nil
 }
 
 // Key derives the entry key for one chunk's content hash: a SHA-256
@@ -68,43 +63,11 @@ func (c *Cache[K, V]) Get(k Key) (pairs []kv.Pair[K, V], ok bool, err error) {
 	if payload == nil {
 		return nil, false, nil
 	}
-	pairs = make([]kv.Pair[K, V], 0, records)
-	for pos := 0; pos < len(payload); {
-		kb, n, err := frame(payload, pos)
-		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
-		}
-		pos = n
-		vb, n, err := frame(payload, pos)
-		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
-		}
-		pos = n
-		key, err := c.kc.Decode(kb)
-		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
-		}
-		val, err := c.vc.Decode(vb)
-		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
-		}
-		pairs = append(pairs, kv.Pair[K, V]{Key: key, Val: val})
+	pairs, err = c.rec.DecodeAll(payload, int(records))
+	if err != nil {
+		return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
 	}
 	return pairs, true, nil
-}
-
-// frame decodes one uvarint-framed field of payload at pos, returning
-// the field bytes and the position after it.
-func frame(payload []byte, pos int) ([]byte, int, error) {
-	u, n := binary.Uvarint(payload[pos:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("corrupt length prefix at %d", pos)
-	}
-	pos += n
-	if u > uint64(len(payload)-pos) {
-		return nil, 0, fmt.Errorf("field length %d exceeds remaining %d bytes", u, len(payload)-pos)
-	}
-	return payload[pos : pos+int(u)], pos + int(u), nil
 }
 
 // Put serializes pairs and publishes them under k. The pairs should be
@@ -112,37 +75,8 @@ func frame(payload []byte, pos int) ([]byte, int, error) {
 // a later hit replays them as a ready-sorted merge source.
 func (c *Cache[K, V]) Put(k Key, pairs []kv.Pair[K, V]) error {
 	var buf []byte
-	var scratch []byte
 	for _, p := range pairs {
-		scratch = c.kc.Append(scratch[:0], p.Key)
-		buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-		buf = append(buf, scratch...)
-		scratch = c.vc.Append(scratch[:0], p.Val)
-		buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-		buf = append(buf, scratch...)
+		buf = c.rec.Append(buf, p)
 	}
 	return c.store.Put(k, buf, int64(len(pairs)))
-}
-
-// PayloadBytes reports how large pairs would serialize, without
-// publishing — used to attribute IO-lane op cost before a Put.
-func (c *Cache[K, V]) PayloadBytes(pairs []kv.Pair[K, V]) int64 {
-	var scratch []byte
-	var total int64
-	for _, p := range pairs {
-		scratch = c.kc.Append(scratch[:0], p.Key)
-		total += int64(uvarintLen(uint64(len(scratch)))) + int64(len(scratch))
-		scratch = c.vc.Append(scratch[:0], p.Val)
-		total += int64(uvarintLen(uint64(len(scratch)))) + int64(len(scratch))
-	}
-	return total
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

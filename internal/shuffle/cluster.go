@@ -1,13 +1,9 @@
 package shuffle
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
-	"supmr/internal/chunk"
-	"supmr/internal/container"
 	"supmr/internal/exec"
 	"supmr/internal/faults"
 	"supmr/internal/kv"
@@ -19,12 +15,9 @@ import (
 	"supmr/internal/storage"
 )
 
-// Options configures a multi-node run. The embedded mapreduce.Options
-// carry the per-node pipeline knobs (workers, splits, boundary, radix
-// ablation, timer, recorder, pool) exactly as in single-node mode.
+// Options configures the simulated cluster a multi-node run exchanges
+// its intermediate runs over.
 type Options struct {
-	mapreduce.Options
-
 	// Nodes is the simulated worker-node count (>= 1; 1 is the
 	// degenerate single-node cluster, useful for differential tests).
 	Nodes int
@@ -50,12 +43,11 @@ type Options struct {
 	Counters *faults.Counters
 }
 
-// Run executes app over input on a simulated cluster of opts.Nodes
-// SupMR worker nodes:
+// Exchange runs the cross-node tiers of a multi-node job over the
+// per-node runs the ingest pipeline drained (nodeRuns[n] holds node n's
+// key-sorted per-chunk runs, in chunk order — internal/core routes
+// chunk i to node i mod Nodes and drains after every map wave):
 //
-//	ingest:  chunks round-robin to nodes; each node runs map waves into
-//	         its own container (built via the Fresher extension) and
-//	         drains it per chunk into key-sorted local runs
 //	combine: (in-node combiner, unless ablated) each node pre-aggregates
 //	         all its local runs into one run before transmission
 //	shuffle: runs are hash-partitioned by encoded key; partition p is
@@ -66,44 +58,24 @@ type Options struct {
 //	merge:   node outputs hold disjoint keys; one final interleave
 //	         produces the globally sorted result
 //
-// The caller's container serves node 0; the remaining nodes get Fresh()
-// clones. Output is byte-identical to a single-node run: hash
-// partitioning keeps each key on one node and every merge re-reduces
-// under the standing associative-combiner contract.
-func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont container.Container[K, V], opts Options) (*mapreduce.Result[K, V], error) {
+// Output is byte-identical to a single-node run: hash partitioning keeps
+// each key on one node and every merge re-reduces under the standing
+// associative-combiner contract. The exchange's counters (wire bytes,
+// frames, combiner savings, runs, reduce busy time, merge rounds) land
+// in stats; the phases land on timer. On error the caller aborts the
+// job.
+func Exchange[K comparable, V any](app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor,
+	timer *metrics.Timer, stats *mapreduce.Stats, opts Options) ([]kv.Pair[K, V], error) {
 	nodes := opts.Nodes
-	if nodes < 1 {
-		return nil, fmt.Errorf("shuffle: node count must be >= 1, got %d", nodes)
-	}
-	pool := opts.Pool
-	if pool == nil {
-		return nil, fmt.Errorf("shuffle: multi-node run requires an executor pool")
-	}
-	timer := opts.Timer
-	if timer == nil {
-		timer = metrics.NewTimer(pool.Now)
+	if nodes < 1 || len(nodeRuns) != nodes {
+		return nil, fmt.Errorf("shuffle: %d node run lists for a %d-node cluster", len(nodeRuns), nodes)
 	}
 	if opts.Clock == nil {
 		return nil, fmt.Errorf("shuffle: multi-node run requires a clock")
 	}
-	kc, err := spill.CodecFor[K]()
+	rec, err := spill.NewRecords[K, V]()
 	if err != nil {
-		return nil, fmt.Errorf("shuffle: key: %w", err)
-	}
-	vc, err := spill.CodecFor[V]()
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: value: %w", err)
-	}
-	conts := make([]container.Container[K, V], nodes)
-	conts[0] = cont
-	if nodes > 1 {
-		fr, ok := any(cont).(container.Fresher[K, V])
-		if !ok {
-			return nil, fmt.Errorf("shuffle: container %T cannot be replicated across nodes (no Fresh method)", cont)
-		}
-		for i := 1; i < nodes; i++ {
-			conts[i] = fr.Fresh()
-		}
+		return nil, fmt.Errorf("shuffle: %w", err)
 	}
 	bw := opts.LinkBW
 	if bw == 0 {
@@ -130,103 +102,13 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 	}
 
-	ro := opts.Options
-	ro.ResetContainer = false
-	var fixed *kv.FixedKeyCodec[K]
-	if !ro.RadixDisabled {
-		fixed = kv.FixedKeyOf[K, V](app)
-	}
-
-	var stats mapreduce.Stats
-	cont.Reset()
-
-	// --- ingest + map + per-chunk drain ------------------------------
-	// Chunks route round-robin to nodes. Reads are issued serially with
-	// one read prefetched on the IO lane while the previous chunk maps,
-	// preserving the per-site fault op order that chaos determinism
-	// depends on.
-	type ingestRes struct {
-		c   *chunk.Chunk
-		err error
-	}
-	issue := func() (*exec.Handle, *ingestRes) {
-		res := &ingestRes{}
-		h := pool.GoIO("ingest", metrics.StateIOWait, func() error {
-			c, err := input.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return err
-			}
-			res.c = c
-			return nil
-		})
-		return h, res
-	}
-	nodeRuns := make([][][]kv.Pair[K, V], nodes)
-	radixRuns := 0
-	fail := func(err error) (*mapreduce.Result[K, V], error) {
-		pool.Abort(err)
-		return nil, err
-	}
-	timer.StartPhase(metrics.PhaseReadMap)
-	h, res := issue()
-	for i := 0; ; i++ {
-		if werr := h.Wait(); werr != nil {
-			timer.EndPhase(metrics.PhaseReadMap)
-			return fail(werr)
-		}
-		c := res.c
-		if c == nil {
-			break // EOF
-		}
-		h, res = issue() // prefetch the next chunk while this one maps
-		node := i % nodes
-		if ca, ok := any(app).(interface{ SetData(*chunk.Chunk) }); ok {
-			ca.SetData(c)
-		}
-		n, busy, merr := mapreduce.MapWaveTimed(app, c.Data, conts[node], ro)
-		if merr != nil {
-			c.Release()
-			timer.EndPhase(metrics.PhaseReadMap)
-			return fail(merr)
-		}
-		stats.Splits += n
-		stats.MapBusy += busy
-		stats.MapWaves++
-		stats.BytesIngested += c.Size()
-		c.Release()
-		// Drain this chunk's container state into a key-sorted local
-		// run now: residency stays bounded by one chunk's output, and
-		// combiner-off mode transmits exactly these per-chunk runs.
-		timer.EndPhase(metrics.PhaseReadMap)
-		timer.StartPhase(metrics.PhaseShuffle)
-		run, nrad, derr := spill.DrainContainer(conts[node], app.Less, app.Reduce, fixed, pool, "shuffle")
-		timer.EndPhase(metrics.PhaseShuffle)
-		timer.StartPhase(metrics.PhaseReadMap)
-		if derr != nil {
-			return fail(derr)
-		}
-		radixRuns += nrad
-		if len(run) > 0 {
-			nodeRuns[node] = append(nodeRuns[node], run)
-			stats.IntermediateN += len(run)
-		}
-	}
-	timer.EndPhase(metrics.PhaseReadMap)
-	if len(pool.LaneBytes()) > 1 {
-		stats.IngestLaneBytes = pool.LaneBytes()
-	}
-
 	// --- in-node combine + partition + framed exchange ---------------
 	timer.StartPhase(metrics.PhaseShuffle)
 	recv := make([][][]kv.Pair[K, V], nodes) // recv[dst]: runs to merge at dst, in arrival order
-	var kbuf, vbuf []byte
+	var scratch []byte
 	recordBytes := func(p kv.Pair[K, V]) int64 {
-		kbuf = kc.Append(kbuf[:0], p.Key)
-		vbuf = vc.Append(vbuf[:0], p.Val)
-		return int64(uvarintLen(len(kbuf)) + len(kbuf) + uvarintLen(len(vbuf)) + len(vbuf))
+		scratch = rec.Append(scratch[:0], p)
+		return int64(len(scratch))
 	}
 	for src := 0; src < nodes; src++ {
 		runs := nodeRuns[src]
@@ -235,26 +117,16 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			// every local worker's output before any byte is framed for
 			// transmission. The saved-bytes counter is exact: encoded
 			// size in, encoded size out.
-			var before, total int64
+			var before int64
 			for _, r := range runs {
-				total += int64(len(r))
 				for _, p := range r {
 					before += recordBytes(p)
 				}
 			}
-			var combined []kv.Pair[K, V]
-			_, err := pool.ForEach("shuffle", metrics.StateUser, 1, func(int) error {
-				srcs := make([]sortalgo.Source[K, V], len(runs))
-				for i, r := range runs {
-					srcs[i] = sortalgo.NewSliceSource(r)
-				}
-				var mErr error
-				combined, mErr = sortalgo.MergeSources(srcs, app.Less, app.Reduce, make([]kv.Pair[K, V], 0, total))
-				return mErr
-			})
+			combined, err := sortalgo.MergeRuns(pool, "shuffle", nil, runs, app.Less, app.Reduce, true)
 			if err != nil {
 				timer.EndPhase(metrics.PhaseShuffle)
-				return fail(err)
+				return nil, err
 			}
 			var after int64
 			for _, p := range combined {
@@ -270,14 +142,13 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			counts := make([]int, nodes)
 			var local []kv.Pair[K, V]
 			for _, p := range run {
-				kbuf = kc.Append(kbuf[:0], p.Key)
-				dst := PartitionOf(kbuf, nodes)
+				key, val := rec.Encode(p)
+				dst := PartitionOf(key, nodes)
 				if dst == src {
 					local = append(local, p)
 					continue
 				}
-				vbuf = vc.Append(vbuf[:0], p.Val)
-				payloads[dst] = AppendRecord(payloads[dst], kbuf, vbuf)
+				payloads[dst] = spill.AppendRecord(payloads[dst], key, val)
 				counts[dst]++
 			}
 			if len(local) > 0 {
@@ -303,7 +174,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 						}
 						return ferr
 					}
-					run, derr := decodeRun(frame, src, dst, kc, vc)
+					run, derr := decodeRun(frame, src, dst, rec)
 					if derr != nil {
 						return derr
 					}
@@ -313,7 +184,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				}
 				if err := retrier.Do(send); err != nil {
 					timer.EndPhase(metrics.PhaseShuffle)
-					return fail(fmt.Errorf("shuffle: n%d->n%d: %w", src, dst, err))
+					return nil, fmt.Errorf("shuffle: n%d->n%d: %w", src, dst, err)
 				}
 			}
 		}
@@ -330,54 +201,30 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if len(recv[dst]) == 0 {
 			return nil
 		}
-		total := 0
-		for _, r := range recv[dst] {
-			total += len(r)
-		}
-		srcs := make([]sortalgo.Source[K, V], len(recv[dst]))
-		for i, r := range recv[dst] {
-			srcs[i] = sortalgo.NewSliceSource(r)
-		}
 		var mErr error
-		outs[dst], mErr = sortalgo.MergeSources(srcs, app.Less, app.Reduce, make([]kv.Pair[K, V], 0, total))
+		outs[dst], mErr = sortalgo.MergeRuns(nil, "", nil, recv[dst], app.Less, app.Reduce, true)
 		return mErr
 	})
 	timer.EndPhase(metrics.PhaseReduce)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	stats.ReduceBusy = reduceBusy
 
 	// --- global assembly: partitions hold disjoint keys --------------
 	timer.StartPhase(metrics.PhaseMerge)
-	var merged []kv.Pair[K, V]
-	_, err = pool.ForEach("merge", metrics.StateUser, 1, func(int) error {
-		total := 0
-		var srcs []sortalgo.Source[K, V]
-		for _, out := range outs {
-			if len(out) > 0 {
-				total += len(out)
-				srcs = append(srcs, sortalgo.NewSliceSource(out))
-			}
-		}
-		var mErr error
-		merged, mErr = sortalgo.MergeSources(srcs, app.Less, app.Reduce, make([]kv.Pair[K, V], 0, total))
-		return mErr
-	})
+	merged, err := sortalgo.MergeRuns(pool, "merge", nil, outs, app.Less, app.Reduce, true)
 	timer.EndPhase(metrics.PhaseMerge)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	stats.MergeRounds = 1
-	stats.RadixRuns = radixRuns
-	stats.OutputPairs = len(merged)
-	stats.Tasks = pool.TaskStats()
-	return &mapreduce.Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
+	return merged, nil
 }
 
 // decodeRun verifies and decodes one received frame into a key-sorted
 // run. Header fields must match the link the frame arrived on.
-func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K], vc spill.Codec[V]) ([]kv.Pair[K, V], error) {
+func decodeRun[K comparable, V any](frame []byte, src, dst int, rec *spill.Records[K, V]) ([]kv.Pair[K, V], error) {
 	f, err := DecodeFrame(frame)
 	if err != nil {
 		return nil, err
@@ -385,35 +232,12 @@ func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K
 	if f.Src != src || f.Part != dst {
 		return nil, fmt.Errorf("%w: frame for n%d->n%d arrived on n%d->n%d", ErrCorrupt, f.Src, f.Part, src, dst)
 	}
-	run := make([]kv.Pair[K, V], 0, f.Records)
-	payload := f.Payload
-	for len(payload) > 0 {
-		key, val, rest, err := ReadRecord(payload)
-		if err != nil {
-			return nil, err
-		}
-		k, err := kc.Decode(key)
-		if err != nil {
-			return nil, fmt.Errorf("%w: key: %v", ErrCorrupt, err)
-		}
-		v, err := vc.Decode(val)
-		if err != nil {
-			return nil, fmt.Errorf("%w: value: %v", ErrCorrupt, err)
-		}
-		run = append(run, kv.Pair[K, V]{Key: k, Val: v})
-		payload = rest
+	run, err := rec.DecodeAll(f.Payload, f.Records)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if len(run) != f.Records {
 		return nil, fmt.Errorf("%w: %d records, header says %d", ErrCorrupt, len(run), f.Records)
 	}
 	return run, nil
-}
-
-// uvarintLen returns the encoded size of n as a uvarint.
-func uvarintLen(n int) int {
-	l := 1
-	for v := uint64(n); v >= 0x80; v >>= 7 {
-		l++
-	}
-	return l
 }

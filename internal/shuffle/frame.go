@@ -1,10 +1,11 @@
-// Package shuffle is the multi-node exchange layer: N simulated SupMR
-// worker nodes each run the scale-up pipeline over their local ingest
-// chunks, drain their containers into key-sorted runs, and exchange
-// hash-partitioned slices of those runs as framed messages over
-// netsim fabric links. Destination nodes merge remote and local runs
-// through the standing MergeSources re-reduce path, so multi-node
-// output is byte-identical to a single-node run of the same job.
+// Package shuffle is the multi-node exchange layer. internal/core's
+// ingest pipeline routes chunks across N simulated SupMR worker nodes,
+// each mapping into its own container and draining it into key-sorted
+// runs after every chunk; Exchange then combines each node's runs,
+// sends hash-partitioned slices of them as framed messages over netsim
+// fabric links, and merges them at their destination nodes through the
+// standing MergeSources re-reduce path, so multi-node output is
+// byte-identical to a single-node run of the same job.
 package shuffle
 
 import (
@@ -22,8 +23,9 @@ import (
 //	uvarint          partition (destination node)
 //	uvarint          record count
 //	uvarint          payload length in bytes
-//	payload          records: uvarint keyLen, key, uvarint valLen, val
-//	                 (the spill-codec record framing)
+//	payload          records in the spill record framing
+//	                 (spill.AppendRecord: uvarint keyLen, key,
+//	                 uvarint valLen, val)
 //	crc32c  [4]byte  Castagnoli checksum of everything before it
 //
 // The checksum plus the explicit payload length mean a torn or
@@ -68,15 +70,6 @@ func EncodeFrame(dst []byte, src, part, records int, payload []byte) []byte {
 	dst = append(dst, payload...)
 	sum := crc32.Checksum(dst[start:], crcTable)
 	return binary.LittleEndian.AppendUint32(dst, sum)
-}
-
-// AppendRecord appends one key/value record in the frame's payload
-// framing (shared with the spill run format).
-func AppendRecord(payload, key, val []byte) []byte {
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = binary.AppendUvarint(payload, uint64(len(val)))
-	return append(payload, val...)
 }
 
 // DecodeFrame parses and verifies exactly one frame occupying all of
@@ -124,25 +117,4 @@ func DecodeFrame(p []byte) (Frame, error) {
 	f.Records = int(fields[2])
 	f.Payload = payload
 	return f, nil
-}
-
-// ReadRecord parses the next record from a frame payload, returning
-// the key, value and remaining bytes. Records inside a
-// checksum-verified frame can still be malformed only if the sender
-// was broken, so framing errors here are ErrCorrupt.
-func ReadRecord(payload []byte) (key, val, rest []byte, err error) {
-	for i := 0; i < 2; i++ {
-		l, n := binary.Uvarint(payload)
-		if n <= 0 || l > uint64(len(payload)-n) {
-			return nil, nil, nil, fmt.Errorf("%w: record framing", ErrCorrupt)
-		}
-		field := payload[n : n+int(l)]
-		payload = payload[n+int(l):]
-		if i == 0 {
-			key = field
-		} else {
-			val = field
-		}
-	}
-	return key, val, payload, nil
 }

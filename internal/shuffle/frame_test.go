@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"supmr/internal/kv"
 	"supmr/internal/spill"
 )
 
@@ -22,7 +23,7 @@ func buildFrame(t *testing.T, rng *rand.Rand, src, part, n int) ([]byte, [][2][]
 		rng.Read(key)
 		rng.Read(val)
 		recs[i] = [2][]byte{key, val}
-		payload = AppendRecord(payload, key, val)
+		payload = spill.AppendRecord(payload, key, val)
 	}
 	return EncodeFrame(nil, src, part, n, payload), recs
 }
@@ -41,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		payload := f.Payload
 		for i, want := range recs {
-			key, val, rest, err := ReadRecord(payload)
+			key, val, rest, err := spill.ReadRecord(payload)
 			if err != nil {
 				t.Fatalf("trial %d: record %d: %v", trial, i, err)
 			}
@@ -102,28 +103,26 @@ func TestFrameTrailingGarbageRejected(t *testing.T) {
 }
 
 func TestDecodeRunRejectsMisroutedFrame(t *testing.T) {
-	kc, _ := spill.CodecFor[string]()
-	vc, _ := spill.CodecFor[int64]()
-	payload := AppendRecord(nil, []byte("k"), vc.Append(nil, 7))
+	rec, _ := spill.NewRecords[string, int64]()
+	payload := rec.Append(nil, kv.Pair[string, int64]{Key: "k", Val: 7})
 	frame := EncodeFrame(nil, 1, 2, 1, payload)
-	if _, err := decodeRun(frame, 1, 2, kc, vc); err != nil {
+	if _, err := decodeRun(frame, 1, 2, rec); err != nil {
 		t.Fatalf("matching link rejected: %v", err)
 	}
-	if _, err := decodeRun(frame, 0, 2, kc, vc); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeRun(frame, 0, 2, rec); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong src link: %v, want ErrCorrupt", err)
 	}
-	if _, err := decodeRun(frame, 1, 0, kc, vc); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeRun(frame, 1, 0, rec); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong dst link: %v, want ErrCorrupt", err)
 	}
 }
 
 func TestDecodeRunRecordCountMismatch(t *testing.T) {
-	kc, _ := spill.CodecFor[string]()
-	vc, _ := spill.CodecFor[int64]()
-	payload := AppendRecord(nil, []byte("a"), vc.Append(nil, 1))
-	payload = AppendRecord(payload, []byte("b"), vc.Append(nil, 2))
+	rec, _ := spill.NewRecords[string, int64]()
+	payload := rec.Append(nil, kv.Pair[string, int64]{Key: "a", Val: 1})
+	payload = rec.Append(payload, kv.Pair[string, int64]{Key: "b", Val: 2})
 	frame := EncodeFrame(nil, 0, 1, 3, payload) // header lies: 3 records
-	if _, err := decodeRun(frame, 0, 1, kc, vc); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeRun(frame, 0, 1, rec); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("record-count lie: %v, want ErrCorrupt", err)
 	}
 }
@@ -172,7 +171,7 @@ func TestPartitionOfSpreads(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(21))
 	var payload []byte
-	payload = AppendRecord(payload, []byte("alpha"), []byte{1, 0, 0, 0, 0, 0, 0, 0})
+	payload = spill.AppendRecord(payload, []byte("alpha"), []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(EncodeFrame(nil, 0, 1, 1, payload))
 	f.Add([]byte{})
 	f.Add([]byte{'S', 'F', 1})
@@ -192,30 +191,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		re := EncodeFrame(nil, fr.Src, fr.Part, fr.Records, fr.Payload)
 		if !bytes.Equal(re, p) {
 			t.Fatalf("accepted frame does not round-trip: %x vs %x", p, re)
-		}
-	})
-}
-
-func FuzzReadRecord(f *testing.F) {
-	f.Add(AppendRecord(nil, []byte("k"), []byte("v")))
-	f.Add([]byte{0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		rest := p
-		for len(rest) > 0 {
-			key, val, r, err := ReadRecord(rest)
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("untyped record error: %v", err)
-				}
-				return
-			}
-			if len(key)+len(val) > len(rest) {
-				t.Fatal("record fields exceed input")
-			}
-			if len(r) >= len(rest) {
-				t.Fatal("no forward progress")
-			}
-			rest = r
 		}
 	})
 }

@@ -1,7 +1,11 @@
 package sortalgo
 
 import (
+	"slices"
+
+	"supmr/internal/exec"
 	"supmr/internal/kv"
+	"supmr/internal/metrics"
 )
 
 // This file extends the merge phase to out-of-core inputs: a Source
@@ -211,4 +215,39 @@ func MergeSources[K any, V any](srcs []Source[K, V], less kv.Less[K], reduce fun
 	}
 	flush()
 	return out, nil
+}
+
+// MergeRuns is the one streaming merge pass over in-memory sorted runs:
+// head's sources (streamed first, e.g. spill runs), then every
+// non-empty run, go through MergeSources in that source order. presize
+// allocates the output for the runs' total length up front. With a
+// non-nil ex the pass runs as one ex task under label, so its busy time
+// and any device wait of a streaming source land on the job's workers;
+// a nil ex runs it on the calling goroutine, for callers that are
+// already inside a pool task.
+func MergeRuns[K any, V any](ex exec.Executor, label string, head []Source[K, V], runs [][]kv.Pair[K, V],
+	less kv.Less[K], reduce func(K, []V) V, presize bool) ([]kv.Pair[K, V], error) {
+	var merged []kv.Pair[K, V]
+	pass := func(int) error {
+		srcs, total := slices.Clip(head), 0
+		for _, r := range runs {
+			if len(r) > 0 {
+				srcs = append(srcs, NewSliceSource(r))
+				total += len(r)
+			}
+		}
+		var out []kv.Pair[K, V]
+		if presize {
+			out = make([]kv.Pair[K, V], 0, total)
+		}
+		var err error
+		merged, err = MergeSources(srcs, less, reduce, out)
+		return err
+	}
+	if ex == nil {
+		err := pass(0)
+		return merged, err
+	}
+	_, err := ex.ForEach(label, metrics.StateUser, 1, pass)
+	return merged, err
 }

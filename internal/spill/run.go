@@ -9,13 +9,11 @@ import (
 	"supmr/internal/storage"
 )
 
-// Run file framing: a run is a flat sequence of records, each
-//
-//	uvarint keyLen | keyLen bytes | uvarint valLen | valLen bytes
-//
-// with no per-run header — the store's run table carries the size and
-// record count. Records are appended in key order, so a reader streams
-// the run back as a sorted source for the external merge.
+// Run file framing: a run is a flat sequence of records in the shared
+// record framing (see record.go), with no per-run header — the store's
+// run table carries the size and record count. Records are appended in
+// key order, so a reader streams the run back as a sorted source for
+// the external merge.
 
 // NewRun starts writing one run. The caller appends records in key
 // order and must Close the writer to publish the run.
@@ -53,10 +51,7 @@ func (w *RunWriter) WriteRecord(key, val []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(key)))
-	w.buf = append(w.buf, key...)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(val)))
-	w.buf = append(w.buf, val...)
+	w.buf = AppendRecord(w.buf, key, val)
 	w.records++
 	for int64(len(w.buf)) >= w.s.blockSize {
 		if err := w.flush(w.s.blockSize); err != nil {

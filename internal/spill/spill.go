@@ -25,8 +25,7 @@ type Spiller[K comparable, V any] struct {
 	budget int64
 	less   kv.Less[K]
 	reduce func(K, []V) V
-	kc     Codec[K]
-	vc     Codec[V]
+	rec    *Records[K, V]
 	fixed  *kv.FixedKeyCodec[K] // optional radix fast path for drain sorts
 
 	pending *exec.Handle
@@ -45,21 +44,16 @@ func NewSpiller[K comparable, V any](store *Store, budget int64, app kv.App[K, V
 	if budget <= 0 {
 		return nil, fmt.Errorf("spill: memory budget must be positive, got %d", budget)
 	}
-	kc, err := CodecFor[K]()
+	rec, err := NewRecords[K, V]()
 	if err != nil {
-		return nil, fmt.Errorf("spill: key: %w", err)
-	}
-	vc, err := CodecFor[V]()
-	if err != nil {
-		return nil, fmt.Errorf("spill: value: %w", err)
+		return nil, fmt.Errorf("spill: %w", err)
 	}
 	return &Spiller[K, V]{
 		store:  store,
 		budget: budget,
 		less:   app.Less,
 		reduce: app.Reduce,
-		kc:     kc,
-		vc:     vc,
+		rec:    rec,
 	}, nil
 }
 
@@ -138,20 +132,7 @@ func DrainContainer[K comparable, V any](c container.Container[K, V], less kv.Le
 	}
 	// Partitions hold disjoint key sets, so this is a pure merge; run it
 	// as one pool task to keep it on (and attributed to) the pool.
-	total := 0
-	for _, r := range nonEmpty {
-		total += len(r)
-	}
-	var merged []kv.Pair[K, V]
-	_, err = pool.ForEach(label, metrics.StateUser, 1, func(int) error {
-		srcs := make([]sortalgo.Source[K, V], len(nonEmpty))
-		for i, r := range nonEmpty {
-			srcs[i] = sortalgo.NewSliceSource(r)
-		}
-		var mErr error
-		merged, mErr = sortalgo.MergeSources(srcs, less, reduce, make([]kv.Pair[K, V], 0, total))
-		return mErr
-	})
+	merged, err := sortalgo.MergeRuns(pool, label, nil, nonEmpty, less, reduce, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -198,11 +179,8 @@ func (sp *Spiller[K, V]) writeRunOnce(pairs []kv.Pair[K, V]) error {
 	if err != nil {
 		return err
 	}
-	var kbuf, vbuf []byte
 	for _, p := range pairs {
-		kbuf = sp.kc.Append(kbuf[:0], p.Key)
-		vbuf = sp.vc.Append(vbuf[:0], p.Val)
-		if err := w.WriteRecord(kbuf, vbuf); err != nil {
+		if err := w.WriteRecord(sp.rec.Encode(p)); err != nil {
 			return err
 		}
 	}
@@ -241,17 +219,16 @@ func (sp *Spiller[K, V]) Sources() []sortalgo.Source[K, V] {
 	defer sp.mu.Unlock()
 	srcs := make([]sortalgo.Source[K, V], len(sp.runs))
 	for i, r := range sp.runs {
-		srcs[i] = &runSource[K, V]{r: sp.store.OpenRun(r), kc: sp.kc, vc: sp.vc}
+		srcs[i] = &runSource[K, V]{r: sp.store.OpenRun(r), rec: sp.rec}
 	}
 	return srcs
 }
 
 // runSource adapts a RunReader into a sortalgo.Source, decoding records
-// with the spiller's codecs.
+// with the spiller's record codec.
 type runSource[K comparable, V any] struct {
-	r  *RunReader
-	kc Codec[K]
-	vc Codec[V]
+	r   *RunReader
+	rec *Records[K, V]
 }
 
 func (s *runSource[K, V]) Next() (kv.Pair[K, V], bool, error) {
@@ -263,13 +240,9 @@ func (s *runSource[K, V]) Next() (kv.Pair[K, V], bool, error) {
 	if err != nil {
 		return zero, false, err
 	}
-	k, err := s.kc.Decode(key)
+	p, err := s.rec.Decode(key, val)
 	if err != nil {
 		return zero, false, err
 	}
-	v, err := s.vc.Decode(val)
-	if err != nil {
-		return zero, false, err
-	}
-	return kv.Pair[K, V]{Key: k, Val: v}, true, nil
+	return p, true, nil
 }

@@ -126,8 +126,8 @@ func (c Config) validateMemo() error {
 }
 
 // wouldSpill reports whether the run would build the spill path —
-// false in memo mode, whose per-chunk drains bound container residency
-// without a spiller.
+// false in memo and multi-node mode, whose per-chunk drains bound
+// container residency without a spiller.
 func (c Config) wouldSpill(budget int64) bool {
-	return budget > 0 && !c.Memo
+	return budget > 0 && !c.Memo && c.Nodes == 0
 }

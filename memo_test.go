@@ -93,6 +93,39 @@ func TestMemoWarmRunReplaysEverything(t *testing.T) {
 	}
 }
 
+// TestMemoIntermediateCountsChunkRuns pins Stats.IntermediateN in memo
+// mode: as in a multi-node run, it counts the pairs of every per-chunk
+// run — fresh drains and cache replays alike — so a warm re-run reports
+// the cold run's count, and every output key is in at least one run.
+func TestMemoIntermediateCountsChunkRuns(t *testing.T) {
+	text := genText(t, 128<<10, 23)
+	clk := storage.NewFakeClock()
+	store, err := NewMemoStore(MemoConfig{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cfg := memoCfg(clk)
+	cfg.MemoStore = store
+
+	cold, _ := runMemoWC(t, text, cfg)
+	warm, _ := runMemoWC(t, text, cfg)
+	if warm.Stats.MemoMisses != 0 || warm.Stats.MemoHits == 0 {
+		t.Fatalf("warm run did not replay: %d hits, %d misses", warm.Stats.MemoHits, warm.Stats.MemoMisses)
+	}
+	if cold.Stats.IntermediateN < len(cold.Pairs) || len(cold.Pairs) == 0 {
+		t.Fatalf("cold IntermediateN = %d, want >= %d output pairs", cold.Stats.IntermediateN, len(cold.Pairs))
+	}
+	if cold.Stats.MemoMisses > 1 && cold.Stats.IntermediateN == len(cold.Pairs) {
+		t.Fatalf("IntermediateN = %d over %d chunks equals the output count; per-chunk runs overlap, so it counts the wrong thing",
+			cold.Stats.IntermediateN, cold.Stats.MemoMisses)
+	}
+	if warm.Stats.IntermediateN != cold.Stats.IntermediateN {
+		t.Fatalf("warm IntermediateN = %d, cold = %d; replayed runs must count like fresh drains",
+			warm.Stats.IntermediateN, cold.Stats.IntermediateN)
+	}
+}
+
 // TestMemoIncrementalAppend is the headline property: append ~2% to the
 // input and the re-run replays almost every chunk from the cache while
 // staying byte-identical to a from-scratch run over the grown input.

@@ -530,26 +530,6 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		if cfg.MemoryBudget > 0 {
 			notes = append(notes, "nodes: MemoryBudget ignored (per-chunk drains bound container residency without the spill path)")
 		}
-		res, err := shuffle.Run(job, input, cont, shuffle.Options{
-			Options:     ro,
-			Nodes:       cfg.Nodes,
-			CombinerOff: cfg.innodeCombinerOff(),
-			LinkBW:      cfg.NodeLinkBW,
-			LinkLatency: cfg.NodeLinkLatency,
-			Clock:       sub.clk,
-			Injector:    cfg.Faults,
-			Retry:       cfg.Retry,
-			Counters:    cfg.faultCounters(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := &Report[K, V]{Pairs: res.Pairs, Times: res.Times, Stats: res.Stats, Notes: notes}
-		if err := runEgress(cfg, sub, rep); err != nil {
-			return nil, err
-		}
-		rep.Stats.Faults = cfg.faultCounters().Snapshot()
-		return rep, nil
 	}
 	var store *spill.Store
 	if cfg.wouldSpill(sub.budget) {
@@ -602,6 +582,18 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		if memoSt != nil {
 			co.MemoStore = memoSt.store
 			co.MemoSpace = cfg.MemoKeySpace
+		}
+		if cfg.Nodes > 0 {
+			co.Shuffle = &shuffle.Options{
+				Nodes:       cfg.Nodes,
+				CombinerOff: cfg.innodeCombinerOff(),
+				LinkBW:      cfg.NodeLinkBW,
+				LinkLatency: cfg.NodeLinkLatency,
+				Clock:       sub.clk,
+				Injector:    cfg.Faults,
+				Retry:       cfg.Retry,
+				Counters:    cfg.faultCounters(),
+			}
 		}
 		if cfg.AdaptiveChunks {
 			initial := cfg.ChunkBytes
