@@ -38,6 +38,8 @@ go test -race -count=1 \
     ./internal/server/ \
     ./internal/egress/ \
     ./internal/dag/ \
+    ./internal/kv/ \
+    ./internal/jobspec/ \
     .
 
 echo "== race-mode chaos gate =="
@@ -197,7 +199,7 @@ echo "== parallel egress artifact and lane gate (BENCH_egress.json) =="
 # The tentpole claim, gated: fanning the merged sort output across 4
 # egress lanes onto a stream-capped disk must beat the serial writer's
 # virtual egress time by >= 1.5x at every input size (measured
-# ~1.8-2x), with the stitched bytes — and so the digest — identical at
+# ~2-2.5x), with the stitched bytes — and so the digest — identical at
 # every lane count.
 egress_out=$(go run ./cmd/benchtable -egress-json BENCH_egress.json)
 echo "$egress_out"

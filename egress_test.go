@@ -1,11 +1,17 @@
 package supmr
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+
+	"supmr/internal/egress"
+	"supmr/internal/exec"
+	"supmr/internal/workload"
 )
 
 // Facade-level tests of the parallel egress path: Config.EgressLanes
@@ -173,4 +179,134 @@ func TestEgressConfigValidation(t *testing.T) {
 	if rep.Egress != nil || rep.Stats.EgressBytes != 0 {
 		t.Error("egress ran without EgressLanes")
 	}
+}
+
+// renderRef is the serial reference rendering of pairs: one fmt
+// "%v\t%v\n" line per pair, and the manifest a serial single-lane
+// writer cuts from those bytes at extent size ext.
+func renderRef[K comparable, V any](t *testing.T, pairs []Pair[K, V], ext int64) ([]byte, *egress.Output) {
+	t.Helper()
+	var ref []byte
+	for _, p := range pairs {
+		ref = fmt.Appendf(ref, "%v\t%v\n", p.Key, p.Val)
+	}
+	pool := exec.NewLocal(1)
+	defer pool.Close()
+	w, err := egress.NewWriter(egress.Config{Pool: pool, Lanes: 1, ExtentBytes: ext})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write(ref)
+	out, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref, out
+}
+
+// TestEgressParallelRenderByteIdentical holds the windowed parallel
+// render to the serial reference: at every worker count, lane count and
+// extent size, for an empty output, one shorter than a render block and
+// one spanning many windows, the stitched bytes, manifest and egress
+// counters equal a serial fmt rendering cut by a one-lane writer (and
+// so hash to pairDigest; jobspec's TestEgressedBytesHashToDigest holds
+// DigestBytes == Digest on the same axes).
+func TestEgressParallelRenderByteIdentical(t *testing.T) {
+	defer func(n int) { renderBlockPairs = n }(renderBlockPairs)
+	renderBlockPairs = 7 // 150 records: 22 blocks, several windows at 4 workers
+	for _, records := range []int{0, 5, 150} {
+		data := make([]byte, records*workload.TeraRecordSize)
+		TeraFill(3)(0, data)
+		for _, ext := range []int64{1, 37, 64 << 10, 0} {
+			var ref []byte
+			var refOut *egress.Output
+			for _, workers := range []int{1, 2, 4} {
+				for _, lanes := range []int{1, 4} {
+					name := fmt.Sprintf("records=%d/extent=%d/workers=%d/lanes=%d", records, ext, workers, lanes)
+					rep, err := RunBytes[string, uint64](SortJob(), data, SortContainer(), Config{
+						Runtime: RuntimeSupMR, Workers: workers, ChunkBytes: 4 << 10, Boundary: CRLFRecords,
+						EgressLanes: lanes, EgressExtentBytes: ext,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(rep.Pairs) != records {
+						t.Fatalf("%s: %d output pairs", name, len(rep.Pairs))
+					}
+					if refOut == nil {
+						ref, refOut = renderRef(t, rep.Pairs, ext)
+						defer refOut.Close()
+					}
+					out, err := rep.Egress.Bytes()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !bytes.Equal(out, ref) {
+						t.Fatalf("%s: egressed bytes differ from the serial render", name)
+					}
+					if !bytes.Equal(rep.Egress.Manifest().Encode(), refOut.Manifest().Encode()) {
+						t.Fatalf("%s: manifest differs from the serial writer's", name)
+					}
+					if rep.Stats.EgressBytes != int64(len(ref)) || rep.Stats.EgressExtents != refOut.Extents() {
+						t.Fatalf("%s: egress=%dB/%d, serial render %dB/%d", name,
+							rep.Stats.EgressBytes, rep.Stats.EgressExtents, len(ref), refOut.Extents())
+					}
+					rep.Egress.Close()
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkEgressRender is the per-layer explainer for the egress
+// phase: it renders merged sort output into a two-lane egress writer
+// (no device) and reports ns and allocs per pair, for the replaced
+// serial fmt rendering and for the parallel kv.AppendText render.
+func BenchmarkEgressRender(b *testing.B) {
+	const records = 100_000
+	data := make([]byte, records*workload.TeraRecordSize)
+	TeraFill(7)(0, data)
+	rep, err := RunBytes[string, uint64](SortJob(), data, SortContainer(), Config{Boundary: CRLFRecords})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := rep.Pairs
+	pool := exec.NewLocal(runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	run := func(b *testing.B, render func(w *egress.Writer) error) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w, err := egress.NewWriter(egress.Config{Pool: pool, Lanes: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := render(w); err != nil {
+				b.Fatal(err)
+			}
+			out, err := w.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			out.Close()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		n := float64(b.N) * float64(len(pairs))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pair")
+		b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/pair")
+	}
+	b.Run("fmt-serial", func(b *testing.B) {
+		run(b, func(w *egress.Writer) error {
+			bw := bufio.NewWriterSize(w, 64<<10)
+			for _, p := range pairs {
+				fmt.Fprintf(bw, "%v\t%v\n", p.Key, p.Val)
+			}
+			return bw.Flush()
+		})
+	})
+	b.Run("kv-parallel", func(b *testing.B) {
+		run(b, func(w *egress.Writer) error { return renderEgress(pool, pairs, w) })
+	})
 }

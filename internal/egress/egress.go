@@ -182,9 +182,12 @@ func (w *Writer) dispatch(payload []byte) {
 	// write service in extent order once a lane slot frees, so up to Lanes
 	// reservations queue at the device and pipeline toward its aggregate
 	// bandwidth, while the serial writer re-reserves only after each
-	// extent completes and stays at the single-stream rate. The virtual
-	// timeline is then a pure function of the extent sequence and lane
-	// count, not of goroutine interleaving.
+	// extent completes and stays at the single-stream rate. That overlap
+	// holds only while the producer stays ahead of the lanes: a lane's
+	// sleep advances the shared clock to its deadline, so an extent
+	// reserved after the previous one finished starts from that later
+	// time and the writes serialize at the stream rate. Feed Write in
+	// bursts of several extents to keep the lanes' reservations queued.
 	var deadline time.Duration
 	if w.cfg.Device != nil {
 		deadline = storage.ReserveWrite(w.cfg.Device, off, ext.len)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"supmr"
+	"supmr/internal/kv"
 	"supmr/internal/workload"
 )
 
@@ -201,11 +202,11 @@ var table = map[string]app{
 		// Standalone, round 1's reference output is synthesized from the
 		// generator's expected block sums.
 		input: func(s Spec, _ supmr.Device, clock supmr.Clock) (source, error) {
-			var buf strings.Builder
+			var buf []byte
 			for b, sum := range (workload.SeqGen{Seed: s.Seed}).BlockSums(s.Size/workload.SeqRecordWidth, s.Block) {
-				fmt.Fprintf(&buf, "%d\t%d\n", b, sum)
+				buf = kv.AppendText(buf, &supmr.Pair[int, int64]{Key: b, Val: sum})
 			}
-			return source{file: supmr.MemoryFile("psum2input", []byte(buf.String()), clock)}, nil
+			return source{file: supmr.MemoryFile("psum2input", buf, clock)}, nil
 		},
 		keySpace: func(s Spec) string { return fmt.Sprintf("psum2:blocks=%d", s.Blocks) },
 		run: job(func(s Spec) (supmr.Job[int, int64], supmr.Container[int, int64]) {

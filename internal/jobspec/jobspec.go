@@ -19,6 +19,7 @@ import (
 
 	"supmr"
 	"supmr/internal/cliutil"
+	"supmr/internal/kv"
 )
 
 // Spec describes one job submission. The zero value of every optional
@@ -402,14 +403,21 @@ func Exec(ctx context.Context, spec Spec, env Env) (*Result, *supmr.EgressOutput
 }
 
 // Digest hashes key-sorted output pairs: hex SHA-256 over one
-// "key\tvalue\n" line per pair. Two runs of the same job produce the
-// same digest exactly when their outputs are byte-identical under this
-// rendering.
+// "key\tvalue\n" line per pair, rendered by kv.AppendText exactly as
+// egress renders them. Two runs of the same job produce the same digest
+// exactly when their outputs are byte-identical under this rendering.
 func Digest[K comparable, V any](pairs []supmr.Pair[K, V]) string {
+	const flush = 32 << 10
 	h := sha256.New()
-	for _, p := range pairs {
-		fmt.Fprintf(h, "%v\t%v\n", p.Key, p.Val)
+	buf := make([]byte, 0, flush+256)
+	for i := range pairs {
+		buf = kv.AppendText(buf, &pairs[i])
+		if len(buf) >= flush {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -2,6 +2,8 @@ package jobspec
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -283,6 +285,52 @@ func TestMemoKeySpaceTracksBlockSizing(t *testing.T) {
 		if got.Digest != want.Digest || got.OutputPairs != want.OutputPairs {
 			t.Errorf("%s block=%d blocks=%d: memoized run on the shared store = %d pairs %s, want %d pairs %s (stale replay)",
 				s.App, s.Block, s.Blocks, got.OutputPairs, got.Digest, want.OutputPairs, want.Digest)
+		}
+	}
+}
+
+// TestDigestMatchesFmtRendering pins Digest to the "%v\t%v\n" text it
+// has always hashed, over an output long enough to cross the hash
+// buffer's flush point several times.
+func TestDigestMatchesFmtRendering(t *testing.T) {
+	pairs := make([]supmr.Pair[string, []string], 5000)
+	h := sha256.New()
+	for i := range pairs {
+		pairs[i] = supmr.Pair[string, []string]{Key: fmt.Sprintf("term%05d", i), Val: []string{"doc", fmt.Sprint(i % 7)}}
+		fmt.Fprintf(h, "%v\t%v\n", pairs[i].Key, pairs[i].Val)
+	}
+	if got, want := Digest(pairs), hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Digest = %s, fmt rendering hashes to %s", got, want)
+	}
+	if got, want := Digest[int, int64](nil), DigestBytes(nil); got != want {
+		t.Fatalf("empty Digest = %s, want %s", got, want)
+	}
+}
+
+// TestEgressedBytesHashToDigest holds DigestBytes over every egressing
+// app's materialized output (grep's is empty) equal to Digest over its
+// pairs, at 1, 2 and 4 render workers and 1 and 4 egress lanes.
+func TestEgressedBytesHashToDigest(t *testing.T) {
+	for _, app := range []string{"wordcount", "sort", "histogram", "grep", "invindex", "linreg", "psum1", "psum2"} {
+		for _, workers := range []int{1, 2, 4} {
+			for _, lanes := range []int{1, 4} {
+				s := Spec{App: app, Size: 32 << 10, ChunkBytes: 4 << 10, Workers: workers, EgressLanes: lanes, EgressExtent: 4 << 10}
+				if app == "invindex" {
+					s.Files, s.FileSize = 4, 8<<10
+				}
+				res, out, err := Exec(context.Background(), s, Env{})
+				if err != nil {
+					t.Fatalf("%s workers=%d lanes=%d: %v", app, workers, lanes, err)
+				}
+				b, err := out.Bytes()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.Close()
+				if got := DigestBytes(b); got != res.Digest {
+					t.Fatalf("%s workers=%d lanes=%d: egressed bytes hash to %s, Digest = %s", app, workers, lanes, got, res.Digest)
+				}
+			}
 		}
 	}
 }

@@ -22,7 +22,6 @@
 package supmr
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -625,11 +624,12 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 }
 
 // runEgress materializes rep's merged pairs across the IO lanes when
-// the config asks for it: each pair renders as one "key\tvalue\n" line
-// (exactly the digest encoding, so the materialized bytes hash to the
-// job's output digest and parse as text input for a chained job), the
-// stream cuts into fixed-size extents, and up to EgressLanes extents
-// are written concurrently with whole-extent retry of torn writes.
+// the config asks for it: each pair renders on the compute workers as
+// one "key\tvalue\n" line (kv.AppendText, the digest encoding, so the
+// materialized bytes hash to the job's output digest and parse as text
+// input for a chained job), the stream cuts into fixed-size extents,
+// and up to EgressLanes extents are written concurrently with
+// whole-extent retry of torn writes.
 // The phase lands in Times under metrics.PhaseEgress and the job total
 // is re-stamped to include it.
 func runEgress[K comparable, V any](cfg Config, sub runSubstrate, rep *Report[K, V]) error {
@@ -664,11 +664,11 @@ func runEgress[K comparable, V any](cfg Config, sub runSubstrate, rep *Report[K,
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 64<<10)
-	for _, p := range rep.Pairs {
-		fmt.Fprintf(bw, "%v\t%v\n", p.Key, p.Val)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := renderEgress(sub.pool, rep.Pairs, w); err != nil {
+		// Join the extents already in flight and release them.
+		if out, cerr := w.Close(); cerr == nil {
+			out.Close()
+		}
 		return err
 	}
 	out, err := w.Close()
@@ -696,6 +696,39 @@ func runEgress[K comparable, V any](cfg Config, sub runSubstrate, rep *Report[K,
 		// Refresh the per-phase task snapshot the runtime took before
 		// egress ran so the egress tasks appear in it.
 		rep.Stats.Tasks = ts
+	}
+	return nil
+}
+
+// renderBlockPairs is how many pairs one render task encodes.
+var renderBlockPairs = 4096
+
+// renderEgress encodes pairs as "key\tvalue\n" lines into w on the
+// compute workers. The pairs split into fixed blocks; each window of
+// Workers() blocks renders concurrently, one block per task into a
+// per-slot buffer reused across windows, and the window's buffers are
+// then written in block order. The byte stream is exactly the serial
+// rendering, and at most one window of rendered bytes is resident.
+func renderEgress[K comparable, V any](pool exec.Executor, pairs []Pair[K, V], w *egress.Writer) error {
+	block := renderBlockPairs
+	bufs := make([][]byte, max(pool.Workers(), 1))
+	for lo := 0; lo < len(pairs); lo += len(bufs) * block {
+		n := min(len(bufs), (len(pairs)-lo+block-1)/block)
+		if _, err := pool.ForEach("render", metrics.StateUser, n, func(i int) error {
+			start := lo + i*block
+			end := min(start+block, len(pairs))
+			b := bufs[i][:0]
+			for j := start; j < end; j++ {
+				b = kv.AppendText(b, &pairs[j])
+			}
+			bufs[i] = b
+			return nil
+		}); err != nil {
+			return err
+		}
+		for _, b := range bufs[:n] {
+			w.Write(b) // never fails: extent write errors surface at Close
+		}
 	}
 	return nil
 }
